@@ -5,8 +5,7 @@ from repro.cfd.mesh import Chunk, Mesh, box_mesh
 from repro.cfd.csr import CSRPattern, build_pattern, diagonal, spmv, to_dense
 from repro.cfd.solver import SolveResult, bicgstab, cg, jacobi_preconditioner
 from repro.cfd.kernel_context import MiniAppContext, Sizes, stabilization_params
-from repro.cfd.phases import KernelConfig, build_kernels
-from repro.cfd.assembly import OPT_LEVELS, AssembledSystem, MiniApp, kernel_config_for
+from repro.cfd.assembly import OPT_LEVELS, AssembledSystem, MiniApp
 
 __all__ = [
     "HEX08", "NDIME", "NDOFN", "NGAUS", "PNODE", "hex08_basis",
@@ -14,6 +13,5 @@ __all__ = [
     "CSRPattern", "build_pattern", "diagonal", "spmv", "to_dense",
     "SolveResult", "bicgstab", "cg", "jacobi_preconditioner",
     "MiniAppContext", "Sizes", "stabilization_params",
-    "KernelConfig", "build_kernels",
-    "OPT_LEVELS", "AssembledSystem", "MiniApp", "kernel_config_for",
+    "OPT_LEVELS", "AssembledSystem", "MiniApp",
 ]

@@ -29,17 +29,15 @@ phase 1 one mixed loop).  The paper's cumulative optimizations (VEC2
 constant bound, IVEC2 interchange, VEC1 fission) are **not** hand
 variants anymore: they are IR-to-IR passes in
 :mod:`repro.compiler.transforms`, applied by a
-:class:`~repro.compiler.transforms.PassPipeline` before vectorization.
-:class:`KernelConfig` survives as a thin shim translating the historic
-boolean switches into a pass list.  The *numerics* of every rung are
+:class:`~repro.compiler.transforms.PassPipeline` before vectorization
+(:class:`~repro.cfd.assembly.MiniApp` runs it over
+:func:`build_baseline_kernels`).  The *numerics* of every rung are
 identical -- the test suite verifies this through the IR interpreter
 against the NumPy reference, and a frozen counters fixture pins the
 pipeline output to the pre-refactor hand-written variants.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.cfd.elements import HEX08, NDIME, NDOFN, NGAUS, PNODE
 from repro.cfd.kernel_context import CHUNK_BASE
@@ -64,48 +62,6 @@ from repro.compiler.ir import (
     Unary,
     var,
 )
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Which of the paper's code transformations are applied.
-
-    Historic boolean interface, kept as a thin shim: the booleans no
-    longer select hand-written kernel variants, they translate --
-    via :meth:`pass_names` -- into the ordered pass list a
-    :class:`~repro.compiler.transforms.PassPipeline` applies to the
-    canonical baseline kernels.  The old ``__post_init__`` coupling
-    ("IVEC2 requires VEC2") now lives where it belongs: as the pipeline
-    dependency ``LoopInterchange.requires = (ConstantTripCount,)``,
-    enforced when the pipeline is built, with an error naming the
-    missing pass.
-    """
-
-    vector_size: int
-    #: VEC2 -- phase 2's loop bound becomes a compile-time constant.
-    phase2_const_bound: bool = False
-    #: IVEC2 -- phase 2's loops interchanged (ivect innermost).
-    phase2_interchanged: bool = False
-    #: VEC1 -- phase 1's mixed loop fissioned into two loops.
-    phase1_fissioned: bool = False
-
-    def pass_names(self) -> tuple[str, ...]:
-        """The transformation-pass spelling of this config, in the
-        paper's cumulative order."""
-        from repro.compiler.transforms import (
-            ConstantTripCount,
-            LoopFission,
-            LoopInterchange,
-        )
-
-        names: list[str] = []
-        if self.phase2_const_bound:
-            names.append(ConstantTripCount.name)
-        if self.phase2_interchanged:
-            names.append(LoopInterchange.name)
-        if self.phase1_fissioned:
-            names.append(LoopFission.name)
-        return tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +692,3 @@ def build_baseline_kernels(arrays: dict[str, Array],
                            vector_size: int) -> list[Kernel]:
     """All eight phase kernels in canonical baseline form (pre-pass)."""
     return [builder(arrays, vector_size) for builder in PHASE_BUILDERS]
-
-
-def build_kernels(arrays: dict[str, Array], cfg: KernelConfig) -> list[Kernel]:
-    """All eight phase kernels for one configuration (baseline kernels
-    run through the pass pipeline the config's booleans spell)."""
-    from repro.compiler.transforms import pipeline_from_names
-
-    pipeline = pipeline_from_names(cfg.pass_names())
-    kernels, _ = pipeline.run_all(
-        build_baseline_kernels(arrays, cfg.vector_size))
-    return kernels

@@ -5,8 +5,7 @@ list of :class:`~repro.compiler.transforms.base.Pass` instances whose
 inter-pass dependencies (``Pass.requires``) are validated at
 construction time -- scheduling ``loop-interchange`` without
 ``const-trip-count`` raises a :class:`PipelineError` naming the missing
-pass, which is the pipeline-level home of the old
-``KernelConfig.__post_init__`` "IVEC2 requires VEC2" coupling.
+pass: the paper's "IVEC2 requires VEC2" coupling.
 
 :data:`OPT_PASSES` maps the paper's cumulative optimization rungs to
 pass lists; :func:`pipeline_for_opt` / :func:`pipeline_from_names` build

@@ -270,10 +270,15 @@ def load_cached_entry(cache_dir: str | os.PathLike,
     Returns ``(counters, "")`` on a hit, ``(None, "")`` for a simply
     missing entry, and ``(None, reason)`` when a corrupt entry —
     truncated write, bad JSON, wrong schema, missing or mismatching
-    content digest, non-finite counter values — was discarded.  The
-    corrupt entry is deleted so the caller re-simulates; the non-empty
-    reason lets the executor surface the repair as a ``cache_corrupt``
-    event instead of healing silently.
+    content digest, non-finite counter values, a ``solve=True`` entry
+    without its ``__solve__`` record — was discarded.  The corrupt entry
+    is deleted so the caller re-simulates; the non-empty reason lets the
+    executor surface the repair as a ``cache_corrupt`` event instead of
+    healing silently.
+
+    :func:`simulate_to_dict` always writes the ``__solve__`` record
+    together with phases 9-12, so a solve entry without it holds the
+    assembly phases only and cannot stand for the config.
     """
     path = cache_path(cache_dir, cfg)
     try:
@@ -288,6 +293,8 @@ def load_cached_entry(cache_dir: str | os.PathLike,
             raise TypeError("counter payload must be a JSON object")
         if data.get("__digest__") != payload_digest(data):
             raise ValueError("content digest mismatch")
+        if cfg.solve and "__solve__" not in data:
+            raise ValueError("solve entry without its __solve__ record")
         return counters_from_dict(data), ""
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         try:
@@ -312,24 +319,20 @@ def _dump_payload(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig, payload: dict) -> Path:
-    """Atomically and durably persist one run's counter dict.
+def write_atomic(target: Path, text: str) -> None:
+    """Atomically and durably replace *target* with *text*.
 
     The tmp file is fsynced before ``os.replace`` and the directory is
-    fsynced after, so a crash at any instant leaves either the old entry
-    or the complete new one — never an empty or torn file under the
-    final name.  A content digest is stamped into the payload so silent
-    on-disk corruption (bit rot, partial overwrite) is detectable at
-    load time.
+    fsynced after, so a crash at any instant leaves either the old file
+    or the complete new one -- never an empty or torn file under the
+    final name.  The one durable writer of the run cache and the
+    service's :class:`~repro.service.store.ResultStore`.
     """
-    target = cache_path(cache_dir, cfg)
     target.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload)
-    payload["__digest__"] = payload_digest(payload)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(_dump_payload(payload))
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
@@ -347,13 +350,19 @@ def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig, payload: dict) -
         except OSError:
             pass
         raise
+
+
+def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig, payload: dict) -> Path:
+    """Atomically and durably persist one run's counter dict
+    (:func:`write_atomic`).  A content digest is stamped into the
+    payload so silent on-disk corruption (bit rot, partial overwrite)
+    is detectable at load time.
+    """
+    target = cache_path(cache_dir, cfg)
+    payload = dict(payload)
+    payload["__digest__"] = payload_digest(payload)
+    write_atomic(target, _dump_payload(payload))
     return target
-
-
-def store_cached(cache_dir: str | os.PathLike, cfg: RunConfig,
-                 run: RunCounters) -> Path:
-    """Atomically persist one run's :class:`RunCounters`."""
-    return store_payload(cache_dir, cfg, counters_to_dict(run))
 
 
 # ---------------------------------------------------------------------------

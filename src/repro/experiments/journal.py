@@ -84,19 +84,20 @@ def repair_torn_tail(path: str | os.PathLike) -> int:
         return 0
 
 
-def replay_journal(path: str | os.PathLike) -> Optional[JournalState]:
-    """Fold an existing journal; ``None`` when the file does not exist.
+def read_records(path: str | os.PathLike) -> Optional[list[dict]]:
+    """The ``{"ev": ...}`` records of the JSONL journal at *path*, in
+    order; ``None`` when the file does not exist.
 
-    Corruption-tolerant by contract: a torn final line — truncated JSON,
-    or raw non-UTF8 bytes — is skipped and the intact prefix is
-    recovered, never an exception.
+    Corruption-tolerant by contract: a torn line — truncated JSON, or
+    raw non-UTF8 bytes — is skipped and the intact records around it
+    are recovered, never an exception.  Shared by
+    :func:`replay_journal` and the sweep service's journal replay.
     """
-    p = Path(path)
     try:
-        raw = p.read_bytes()
+        raw = Path(path).read_bytes()
     except (FileNotFoundError, OSError):
         return None
-    state = JournalState()
+    records = []
     for bline in raw.split(b"\n"):
         try:
             line = bline.decode("utf-8").strip()
@@ -106,9 +107,24 @@ def replay_journal(path: str | os.PathLike) -> Optional[JournalState]:
             continue
         try:
             rec = json.loads(line)
-            ev = rec["ev"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+        except json.JSONDecodeError:
             continue  # torn trailing write: ignore, never crash
+        if isinstance(rec, dict) and "ev" in rec:
+            records.append(rec)
+    return records
+
+
+def replay_journal(path: str | os.PathLike) -> Optional[JournalState]:
+    """Fold an existing journal; ``None`` when the file does not exist.
+
+    Torn lines are skipped (see :func:`read_records`).
+    """
+    records = read_records(path)
+    if records is None:
+        return None
+    state = JournalState()
+    for rec in records:
+        ev = rec["ev"]
         if ev == "sweep_start":
             state = JournalState(interrupted=True)
         elif ev == "sweep_end":

@@ -2,17 +2,20 @@
 
 Every table and figure of the paper is a projection of the same ~50
 simulated runs (machine x optimization x VECTOR_SIZE).  The heavy
-lifting — parallel fan-out, per-run timeout/retry, the versioned atomic
-disk cache under ``.repro_cache/`` — lives in
-:mod:`repro.experiments.executor`; :class:`Session` is the thin façade
-the artifact generators and the CLI talk to:
+lifting — building, simulating, parallel fan-out, per-run
+timeout/retry, the versioned atomic disk cache under ``.repro_cache/``,
+validation — lives in :mod:`repro.experiments.executor`.
+:class:`Session` is an in-memory memo in front of
+:func:`~repro.experiments.executor.execute_plan`, so every run takes
+the same path whether it is asked for alone or in a batch:
 
 * ``Session.run(cfg)`` runs (or recalls) one
-  :class:`~repro.experiments.config.RunConfig` — the old keyword form
-  ``run(machine=..., opt=..., vector_size=...)`` remains as a wrapper;
-* ``Session.run_many(configs, jobs=N)`` is the batch entry point the
-  table/figure generators use to pre-warm the cache across a process
-  pool before rendering.
+  :class:`~repro.experiments.config.RunConfig`; the keyword form
+  ``run(machine=..., opt=..., vector_size=...)`` builds the config with
+  :meth:`Session.config`;
+* ``Session.run_many(configs)`` is the batch entry point the
+  table/figure generators use to pre-warm the memo across the session's
+  process pool (``jobs``) before rendering.
 
 Results memoize in memory and persist as JSON on disk, so the full
 benchmark suite re-renders in seconds after the first pass.  Set the
@@ -29,8 +32,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.cfd.assembly import MiniApp
-from repro.cfd.mesh import Mesh, box_mesh
 from repro.experiments.config import FULL_MESH, RunConfig
 from repro.experiments.executor import (
     MODEL_VERSION,
@@ -38,14 +39,8 @@ from repro.experiments.executor import (
     RunEvent,
     SweepError,
     execute_plan,
-    load_cached,
-    simulate_run,
-    store_cached,
 )
-from repro.machine.cpu import Machine
-from repro.machine.machines import get_machine
 from repro.metrics.counters import (
-    COUNTER_FIELDS as _COUNTER_FIELDS,  # noqa: F401  (backwards compat)
     RunCounters,
     counters_from_dict,
     counters_to_dict,
@@ -60,7 +55,8 @@ __all__ = [
 
 
 class Session:
-    """Shared run cache for one mesh configuration."""
+    """In-memory run memo for one mesh configuration, in front of
+    :func:`~repro.experiments.executor.execute_plan`."""
 
     def __init__(self, mesh_dims: tuple[int, int, int] = FULL_MESH,
                  cache_dir: str | os.PathLike = ".repro_cache",
@@ -91,36 +87,13 @@ class Session:
         self.retries = retries
         self.validate = validate
         self.journal = journal
-        self._mesh: Optional[Mesh] = None
         self._memo: dict[str, RunCounters] = {}
-        self._apps: dict[tuple, MiniApp] = {}
-
-    @property
-    def mesh(self) -> Mesh:
-        if self._mesh is None:
-            self._mesh = box_mesh(*self.mesh_dims)
-        return self._mesh
-
-    def miniapp(self, opt: str, vector_size: int, field_seed: int = 0) -> MiniApp:
-        """Build (and memoize) the compiled mini-app for a configuration."""
-        key = (opt, vector_size, field_seed)
-        if key not in self._apps:
-            self._apps[key] = MiniApp(self.mesh, vector_size, opt,
-                                      field_seed=field_seed)
-        return self._apps[key]
-
-    # ------------------------------------------------------------------
 
     def config(self, **kwargs) -> RunConfig:
         """A :class:`RunConfig` bound to this session's mesh (and
         execution backend, unless overridden)."""
         kwargs.setdefault("backend", self.backend)
         return RunConfig.from_kwargs(mesh=self.mesh_dims, **kwargs)
-
-    def _disk_path(self, cfg: RunConfig) -> Path:
-        from repro.experiments.executor import cache_path
-
-        return cache_path(self.cache_dir, cfg)
 
     def _log_event(self, ev: RunEvent) -> None:  # pragma: no cover - console
         detail = f" attempt {ev.attempt}" if ev.attempt > 1 else ""
@@ -130,87 +103,39 @@ class Session:
         print(f"[repro] {ev.kind} {ev.key}{detail}{suffix}{util}",
               file=sys.stderr, flush=True)
 
-    def run(self, machine: str | RunConfig = "riscv_vec", opt: str = "vanilla",
-            vector_size: int = 240, cache_enabled: bool = True,
-            field_seed: int = 0) -> RunCounters:
+    def run(self, cfg: Optional[RunConfig] = None, **kw) -> RunCounters:
         """Run (or recall) one configuration; returns per-phase counters.
 
-        Config-first: pass a :class:`RunConfig` as the only argument
-        (``session.run(cfg)``).  The keyword form builds one on the fly
-        against this session's mesh.
+        Config-first: ``session.run(cfg)``.  The keyword form
+        (``session.run(opt="vec1", vector_size=240)``) builds the config
+        with :meth:`config` against this session's mesh.
         """
-        if isinstance(machine, RunConfig):
-            cfg = machine
-        else:
-            cfg = RunConfig(machine=machine, opt=opt, vector_size=vector_size,
-                            mesh_dims=self.mesh_dims,
-                            cache_enabled=cache_enabled, field_seed=field_seed,
-                            backend=self.backend)
-        key = cfg.key()
-        if key in self._memo:
-            return self._memo[key]
-        if self.use_disk:
-            cached = load_cached(self.cache_dir, cfg)
-            if cached is not None:
-                self._check(cfg, cached)
-                self._memo[key] = cached
-                return cached
-        if self.verbose:  # pragma: no cover - console feedback
-            print(f"[repro] simulating {key} ...", file=sys.stderr, flush=True)
-        if cfg.mesh_dims == self.mesh_dims:
-            app = self.miniapp(cfg.opt, cfg.vector_size, cfg.field_seed)
-            m = Machine(get_machine(cfg.machine),
-                        cache_enabled=cfg.cache_enabled)
-            run = app.run_timed(get_machine(cfg.machine), machine=m)
-        else:
-            run = simulate_run(cfg)
-        self._check(cfg, run)
-        self._memo[key] = run
-        if self.use_disk:
-            store_cached(self.cache_dir, cfg, run)
-        return run
+        if cfg is None:
+            cfg = self.config(**kw)
+        elif kw:
+            raise TypeError("pass a RunConfig or keywords, not both")
+        return self.run_many([cfg])[0]
 
-    def _check(self, cfg: RunConfig, run: RunCounters) -> None:
-        """Counter-invariant gate for the single-run path (the batch
-        path validates inside ``execute_plan``)."""
-        if not self.validate:
-            return
-        from repro.validation.invariants import validate_run
-
-        violations = validate_run(cfg, run)
-        if violations:
-            raise SweepError({cfg.key(): "validation failed: "
-                              + "; ".join(violations)})
-
-    def run_many(self, configs: Iterable[RunConfig] | ExecutionPlan,
-                 jobs: Optional[int] = None,
-                 timeout_s: Optional[float] = None,
-                 retries: Optional[int] = None) -> list[RunCounters]:
-        """Run a batch of configurations, fanning cache misses across a
-        process pool; returns counters in input order.
+    def run_many(self, configs: Iterable[RunConfig] | ExecutionPlan
+                 ) -> list[RunCounters]:
+        """Run a batch of configurations, fanning cache misses across the
+        session's process pool; returns counters in input order.
 
         This is the pre-warm entry point used by the table and figure
         generators: artifacts first ``run_many`` every config they
         project, then read individual runs from the warm memo.
         """
-        if isinstance(configs, ExecutionPlan):
-            configs = list(configs.configs)
-        else:
-            configs = list(configs)
-        todo = [cfg for cfg in configs if cfg.key() not in self._memo]
-        effective_jobs = self.jobs if jobs is None else max(1, jobs)
-        if todo and effective_jobs <= 1 and not (self.validate or self.journal):
-            # In-process: reuse this session's memoized mesh and apps.
-            for cfg in todo:
-                self.run(cfg)
-        elif todo:
+        configs = list(configs)
+        todo = ExecutionPlan.from_configs(
+            cfg for cfg in configs if cfg.key() not in self._memo)
+        if todo:
             result = execute_plan(
-                ExecutionPlan.from_configs(todo),
+                todo,
                 cache_dir=self.cache_dir,
-                jobs=effective_jobs,
+                jobs=min(self.jobs, len(todo)),
                 use_disk=self.use_disk,
-                timeout_s=self.timeout_s if timeout_s is None else timeout_s,
-                retries=self.retries if retries is None else retries,
+                timeout_s=self.timeout_s,
+                retries=self.retries,
                 on_event=self._log_event if self.verbose else None,
                 validate=self.validate,
                 journal=self.journal,

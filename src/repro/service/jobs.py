@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.experiments.config import RunConfig
-from repro.experiments.journal import SweepJournal, repair_torn_tail  # noqa: F401
+from repro.experiments.journal import SweepJournal, read_records
 
 #: job states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -151,33 +151,17 @@ class ServiceState:
 def replay_service_journal(path: str | os.PathLike) -> Optional[ServiceState]:
     """Fold a service journal; ``None`` when the file does not exist.
 
-    Tolerates torn tails exactly like the sweep journal (the writer
-    repairs them on open; the reader skips anything unparsable).  Jobs
-    interrupted mid-flight come back ``queued`` with completion state
-    intact.
+    Reads records through the sweep journal's reader, so torn tails are
+    tolerated exactly alike (the writer repairs them on open; the
+    reader skips anything unparsable).  Jobs interrupted mid-flight come
+    back ``queued`` with completion state intact.
     """
-    from repro.experiments.journal import replay_journal  # noqa: F401
-    import json
-    from pathlib import Path
-
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-    except (FileNotFoundError, OSError):
+    records = read_records(path)
+    if records is None:
         return None
     state = ServiceState()
-    for bline in raw.split(b"\n"):
-        try:
-            line = bline.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            continue  # torn binary tail: recover the prefix
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            ev = rec["ev"]
-        except (json.JSONDecodeError, TypeError, KeyError):
-            continue  # torn trailing write: never crash
+    for rec in records:
+        ev = rec["ev"]
         if ev == "submit":
             try:
                 configs = tuple(RunConfig.from_dict(c)

@@ -12,12 +12,13 @@ The sweep service's durable memory.  Two planes:
   its digest.  Many tenants submitting the same config resolve through
   the same link; the simulation ran once.
 
-Both planes inherit the executor cache's durability contract: atomic
-fsynced writes (tmp + fsync + ``os.replace`` + directory fsync) and
-digest-verified reads.  A torn or bit-rotted shard object fails its
-digest check on :meth:`ResultStore.get`, is discarded, counted in
-``corrupt_discarded``, and the caller re-simulates — degradation is
-observable (the service emits a ``store_corrupt`` event), never silent.
+Both planes write through the executor cache's one durable writer
+(:func:`~repro.experiments.executor.write_atomic`: tmp + fsync +
+``os.replace`` + directory fsync) and verify digests on read.  A torn
+or bit-rotted shard object fails its digest check on
+:meth:`ResultStore.get`, is discarded, counted in ``corrupt_discarded``,
+and the caller re-simulates — degradation is observable (the service
+emits a ``store_corrupt`` event), never silent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.executor import payload_digest
+from repro.experiments.executor import payload_digest, write_atomic
 
 #: hex characters of the digest used as the shard directory name; 2
 #: gives 256 shards, plenty for any plausible object count here.
@@ -56,35 +57,6 @@ class StoreStats:
                 "hits": self.hits,
                 "corrupt_discarded": self.corrupt_discarded,
                 "corrupt_links": self.corrupt_links}
-
-
-def _write_atomic(target: Path, text: str) -> None:
-    """Atomic durable write (same discipline as the executor cache)."""
-    import tempfile
-
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-        try:
-            dir_fd = os.open(target.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform without dir fsync
-            pass
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class ResultStore:
@@ -141,7 +113,7 @@ class ResultStore:
             body["__solve__"] = payload["__solve__"]
         if trace_id:
             body["__trace__"] = trace_id
-        _write_atomic(path, json.dumps(body, sort_keys=True))
+        write_atomic(path, json.dumps(body, sort_keys=True))
         self.stats.puts += 1
         self._count("store_puts_total")
         return digest
@@ -179,9 +151,9 @@ class ResultStore:
 
     def link(self, cfg_key: str, digest: str) -> None:
         """Bind a config key to its result digest (atomic, durable)."""
-        _write_atomic(self.link_path(cfg_key),
-                      json.dumps({"key": cfg_key, "digest": digest},
-                                 sort_keys=True))
+        write_atomic(self.link_path(cfg_key),
+                     json.dumps({"key": cfg_key, "digest": digest},
+                                sort_keys=True))
 
     def digest_for(self, cfg_key: str) -> Optional[str]:
         """The digest a config key resolves to, if linked."""

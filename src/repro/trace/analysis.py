@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.isa.hierarchy import HierarchyCounts
 from repro.isa.instructions import OPCODES
-from repro.trace.tracer import Tracer
+from repro.obs.tracer import Tracer
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.obs.tracer import Tracer
 from repro.trace.events import BlockEvent, VectorInstrEvent
-from repro.trace.tracer import Tracer
 
 HEADER_PREFIX = "#Paraver (repro)"
 STATE_RECORD = "1"

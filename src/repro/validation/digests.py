@@ -75,32 +75,21 @@ def _honest_digests(probe: Probe) -> tuple[tuple[int, str], ...]:
     return tuple(sorted(_compute_digests(probe, None).items()))
 
 
-def phase_output_digests(opt: "str | Probe" = "vanilla",
-                         *,
-                         probe: Optional[Probe] = None,
-                         backend: Optional[str] = None,
-                         mutate: Optional[MutateHook] = None,
-                         field_seed: Optional[int] = None,
-                         mesh_dims: Optional[tuple[int, int, int]] = None,
-                         vector_size: Optional[int] = None
+def phase_output_digests(probe: "str | Probe" = "vanilla", /, *,
+                         mutate: Optional[MutateHook] = None
                          ) -> dict[int, str]:
     """SHA-256 fingerprint of every phase's executed outputs.
 
-    Accepts the same :class:`Probe` conventions as ``golden_check``: a
-    probe (positional or ``probe=``), a bare rung string, or the
-    deprecated per-field keywords.  ``backend=`` overrides the probe's
-    execution backend; honest digests are identical whichever backend
-    computes them.
+    Takes the same positional :class:`Probe` (or bare rung string) as
+    ``golden_check``; honest digests are identical whichever backend
+    the probe names.
 
     Runs the (optionally ``mutate``-tampered) kernels of one rung on the
     golden probe, hashing each phase's output arrays across all chunks.
     Honest rungs all return the same digests; a tampered pipeline
     diverges at the first semantically-changed phase.
     """
-    spec = resolve_probe(opt, probe, backend=backend,
-                         caller="phase_output_digests",
-                         field_seed=field_seed, mesh_dims=mesh_dims,
-                         vector_size=vector_size)
+    spec = resolve_probe(probe)
     if mutate is None:
         key = replace(spec, rtol=Probe.rtol, atol=Probe.atol)
         return dict(_honest_digests(key))
@@ -147,10 +136,7 @@ def _honest_solver_digests(probe: Probe) -> tuple[tuple[int, str], ...]:
     return tuple(sorted(_compute_solver_digests(probe, None).items()))
 
 
-def solver_phase_digests(opt: "str | Probe" = "vanilla",
-                         *,
-                         probe: Optional[Probe] = None,
-                         backend: Optional[str] = None,
+def solver_phase_digests(probe: "str | Probe" = "vanilla", /, *,
                          mutate: Optional[MutateHook] = None,
                          workload=None) -> dict[int, str]:
     """SHA-256 fingerprint of every solver phase's executed outputs.
@@ -165,8 +151,7 @@ def solver_phase_digests(opt: "str | Probe" = "vanilla",
     e.g. a torn ELL gather table) diverges at the struck phase --
     FLOP-conserving faults included, exactly like the assembly ladder.
     """
-    spec = resolve_probe(opt, probe, backend=backend,
-                         caller="solver_phase_digests")
+    spec = resolve_probe(probe)
     if mutate is None and workload is None:
         key = replace(spec, rtol=Probe.rtol, atol=Probe.atol)
         return dict(_honest_solver_digests(key))

@@ -11,14 +11,15 @@ global RHS and CSR matrix -- against :mod:`repro.cfd.reference` within
 tolerance.
 
 Golden checks run on a small probe mesh described by a shared
-:class:`~repro.validation.probe.Probe` spec (the semantics of a rung do
-not depend on mesh size or VECTOR_SIZE beyond tail padding, which the
-probe exercises).  The default backend is the vectorized ``"numpy"``
-lowering, proven byte-identical to the ``"interpreter"`` oracle by the
-frozen equivalence fixture; sweeps that used to take minutes take
-seconds.  The chaos harness (:mod:`repro.faults`) additionally injects
-numeric faults through the ``corrupt`` hook to prove a poisoned lane is
-*detected* and pinned to the phase it struck.
+:class:`~repro.validation.probe.Probe` spec, passed positionally (the
+semantics of a rung do not depend on mesh size or VECTOR_SIZE beyond
+tail padding, which the probe exercises).  The default backend is the
+vectorized ``"numpy"`` lowering, proven byte-identical to the
+``"interpreter"`` oracle by the frozen equivalence fixture; sweeps that
+used to take minutes take seconds.  The chaos harness
+(:mod:`repro.faults`) additionally injects numeric faults through the
+``corrupt`` hook to prove a poisoned lane is *detected* and pinned to
+the phase it struck.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from repro.backends import DEFAULT_BACKEND, get_backend
 from repro.cfd.assembly import MiniApp
 from repro.cfd.reference import PHASE_OUTPUTS, REF_PHASES
 from repro.compiler.ir import Kernel
-from repro.validation.probe import (
-    PROBE_MESH,
-    PROBE_VECTOR_SIZE,
-    Probe,
-    resolve_probe,
-)
+from repro.validation.probe import Probe, resolve_probe
 
 #: corruption hook: (instance, phase_id, chunk_index) -> None, called
 #: after the backend ran the phase and before the cross-check.
@@ -48,6 +44,10 @@ CorruptHook = Callable[[object, int, int], None]
 #: transformation faults: a pass product is tampered with and the
 #: golden check must catch the semantic change).
 MutateHook = Callable[[list[Kernel]], list[Kernel]]
+
+#: violations recorded per report before further deviations are only
+#: reflected in ``max_abs_error``.
+MAX_VIOLATIONS = 20
 
 
 @dataclass
@@ -87,7 +87,6 @@ class GoldenReport:
 
 def _check_kernels(report: GoldenReport, app: MiniApp,
                    kernels: list[Kernel], *, stage: str = "",
-                   max_violations: int = 20,
                    corrupt: Optional[CorruptHook] = None) -> None:
     """Execute *kernels* (via ``report.backend``) against the NumPy
     reference on *app*'s probe mesh, appending violations (labelled
@@ -131,35 +130,22 @@ def _check_kernels(report: GoldenReport, app: MiniApp,
                     report.max_abs_error.get(phase, 0.0), err)
                 bad = ~np.isclose(got, want, rtol=report.rtol,
                                   atol=report.atol, equal_nan=False)
-                if bad.any() and len(report.violations) < max_violations:
+                if bad.any() and len(report.violations) < MAX_VIOLATIONS:
                     report.violations.append(
                         f"{where}chunk {chunk.index} phase {phase} "
                         f"{name!r}: {int(bad.sum())} element(s) deviate, "
                         f"max abs error {err:.3e}")
 
 
-def golden_check(opt: "str | Probe" = "vanilla",
-                 vector_size: Optional[int] = None,
-                 mesh_dims: Optional[tuple[int, int, int]] = None,
-                 *,
-                 probe: Optional[Probe] = None,
-                 backend: Optional[str] = None,
-                 field_seed: Optional[int] = None,
-                 rtol: Optional[float] = None,
-                 atol: Optional[float] = None,
-                 max_violations: int = 20,
+def golden_check(probe: "str | Probe" = "vanilla", /, *,
                  corrupt: Optional[CorruptHook] = None,
                  transformed: bool = False,
                  mutate: Optional[MutateHook] = None) -> GoldenReport:
     """Cross-check one optimization rung against the golden reference.
 
-    The probe configuration is a :class:`Probe` -- pass one positionally
-    (``golden_check(Probe(opt="vec1", backend="interpreter"))``) or as
-    ``probe=``; a bare rung string selects the default probe for that
-    rung.  ``backend=`` overrides the probe's execution backend.  The
-    remaining per-field keywords (``vector_size``, ``mesh_dims``,
-    ``field_seed``, ``rtol``, ``atol``) are deprecated shims that warn
-    and fold into a Probe.
+    The probe configuration is a :class:`Probe`, passed positionally
+    (``golden_check(Probe(opt="vec1", backend="interpreter"))``); a bare
+    rung string selects the default probe for that rung.
 
     Runs the IR kernels (through the selected backend) and the NumPy
     reference side by side over every chunk of the probe mesh, comparing
@@ -176,10 +162,7 @@ def golden_check(opt: "str | Probe" = "vanilla",
     the chaos harness uses it to prove tampered pass output is
     *detected*.
     """
-    spec = resolve_probe(opt, probe, backend=backend,
-                         caller="golden_check",
-                         vector_size=vector_size, mesh_dims=mesh_dims,
-                         field_seed=field_seed, rtol=rtol, atol=atol)
+    spec = resolve_probe(probe)
     report = GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
                           mesh_dims=spec.mesh_dims, rtol=spec.rtol,
                           atol=spec.atol, backend=spec.backend)
@@ -194,14 +177,13 @@ def golden_check(opt: "str | Probe" = "vanilla",
             report.stages.append(names)
             _check_kernels(report, app, list(kernels),
                            stage=f"[{' -> '.join(names) or 'baseline'}]",
-                           max_violations=max_violations, corrupt=corrupt)
+                           corrupt=corrupt)
         return report
 
     kernels = list(app.kernels)
     if mutate is not None:
         kernels = mutate(kernels)
-    _check_kernels(report, app, kernels, max_violations=max_violations,
-                   corrupt=corrupt)
+    _check_kernels(report, app, kernels, corrupt=corrupt)
     return report
 
 
@@ -222,12 +204,8 @@ SOLVE_X_ATOL = 1e-9
 SOLVE_RESIDUAL_SLACK = 10.0
 
 
-def solver_golden_check(opt: "str | Probe" = "vanilla",
-                        *,
-                        probe: Optional[Probe] = None,
-                        backend: Optional[str] = None,
+def solver_golden_check(probe: "str | Probe" = "vanilla", /, *,
                         method: str = "bicgstab",
-                        max_violations: int = 20,
                         workload=None,
                         mutate: Optional[MutateHook] = None) -> GoldenReport:
     """Cross-check the IR solver kernels against the NumPy solver
@@ -260,8 +238,7 @@ def solver_golden_check(opt: "str | Probe" = "vanilla",
         seeded_solver_inputs,
     )
 
-    spec = resolve_probe(opt, probe, backend=backend,
-                         caller="solver_golden_check")
+    spec = resolve_probe(probe)
     report = GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
                           mesh_dims=spec.mesh_dims, rtol=spec.rtol,
                           atol=spec.atol, backend=spec.backend)
@@ -299,7 +276,7 @@ def solver_golden_check(opt: "str | Probe" = "vanilla",
                     report.max_abs_error.get(phase, 0.0), err)
                 bad = ~np.isclose(got, want, rtol=report.rtol,
                                   atol=report.atol, equal_nan=False)
-                if bad.any() and len(report.violations) < max_violations:
+                if bad.any() and len(report.violations) < MAX_VIOLATIONS:
                     report.violations.append(
                         f"solver chunk {chunk.index} phase {phase} "
                         f"{name!r}: {int(bad.sum())} element(s) deviate, "

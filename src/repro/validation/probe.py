@@ -1,26 +1,22 @@
 """The shared probe specification for semantic validation.
 
-``golden_check`` and ``phase_output_digests`` used to duplicate the same
-pile of keywords (``opt``, ``vector_size``, ``mesh_dims``,
-``field_seed``, tolerances) -- :class:`Probe` collapses them into one
-frozen, hashable value object that *is* the validation configuration:
-what rung (or explicit pass schedule) to compile, on what probe mesh,
-from which seeded fields, executed by which backend, compared how.
+:class:`Probe` is one frozen, hashable value object that *is* the
+validation configuration: what rung (or explicit pass schedule) to
+compile, on what probe mesh, from which seeded fields, executed by which
+backend, compared how.  ``golden_check``, ``solver_golden_check``,
+``phase_output_digests`` and ``solver_phase_digests`` all take it as
+their one positional argument -- or a bare rung string, which selects
+the default probe for that rung (:func:`resolve_probe`).
 
 Being frozen and hashable, a ``Probe`` doubles as the memoization key of
 the honest digest cache, and ``replace(probe, ...)`` gives cheap
 variants (the chaos campaign swaps ``opt`` per rung, the equivalence
 gate swaps ``backend``).
-
-The old keyword spellings survive as deprecation shims:
-``golden_check("vec1", vector_size=16)`` still works but warns; the
-supported form is ``golden_check(Probe(opt="vec1", vector_size=16))``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.backends import DEFAULT_BACKEND
@@ -66,35 +62,9 @@ class Probe:
                        passes=self.passes)
 
 
-def resolve_probe(opt_or_probe: "str | Probe", probe: Optional[Probe],
-                  *, backend: Optional[str] = None, caller: str = "",
-                  **legacy) -> Probe:
-    """Normalize the ``(opt | Probe, probe=, legacy kwargs)`` calling
-    conventions of the validation entry points to one :class:`Probe`.
-
-    A non-``None`` legacy keyword (``vector_size``, ``mesh_dims``,
-    ``field_seed``, ``rtol``, ``atol``) emits a ``DeprecationWarning``
-    and is folded into the probe; mixing them with an explicit ``Probe``
-    is a ``TypeError``.  ``backend=`` is first-class (not deprecated)
-    and overrides the probe's.
-    """
+def resolve_probe(opt_or_probe: "str | Probe") -> Probe:
+    """The :class:`Probe` a validation entry point was called with: a
+    bare rung string selects the default probe for that rung."""
     if isinstance(opt_or_probe, Probe):
-        if probe is not None:
-            raise TypeError("pass the Probe positionally or as probe=, "
-                            "not both")
-        probe = opt_or_probe
-    used = {k: v for k, v in legacy.items() if v is not None}
-    if probe is not None:
-        if used:
-            raise TypeError(
-                f"cannot combine probe= with the deprecated keyword(s) "
-                f"{sorted(used)}; set them on the Probe instead")
-        return replace(probe, backend=backend) if backend else probe
-    if used:
-        warnings.warn(
-            f"the {sorted(used)} keyword(s) of {caller or 'this function'} "
-            f"are deprecated; pass a Probe(...) instead",
-            DeprecationWarning, stacklevel=3)
-    if backend is not None:
-        used["backend"] = backend
-    return Probe(opt=opt_or_probe, **used)
+        return opt_or_probe
+    return Probe(opt=opt_or_probe)

@@ -1,11 +1,8 @@
 """The redesigned ``backend=`` API surface.
 
-Registry resolution, the package-level exports, the shared ``Probe``
-spec, and the deprecation shims that keep the old per-field keyword
-spellings of ``golden_check`` / ``phase_output_digests`` alive.
+Registry resolution, the package-level exports, and the shared ``Probe``
+spec that the validation entry points take positionally.
 """
-
-import warnings
 
 import pytest
 
@@ -20,9 +17,8 @@ from repro.backends import (
 )
 from repro.experiments.config import RunConfig
 from repro.validation import Probe
-from repro.validation.digests import phase_output_digests
 from repro.validation.golden import golden_check
-from repro.validation.probe import PROBE_MESH, PROBE_VECTOR_SIZE, resolve_probe
+from repro.validation.probe import PROBE_MESH, PROBE_VECTOR_SIZE
 
 
 # -- registry ----------------------------------------------------------
@@ -85,48 +81,6 @@ def test_probe_normalizes_sequences():
     p = Probe(mesh_dims=[4, 4, 4], passes=["const-trip-count"])
     assert p.mesh_dims == (4, 4, 4)
     assert p.passes == ("const-trip-count",)
-
-
-def test_resolve_probe_backend_override():
-    p = resolve_probe(Probe(opt="vec1"), None, backend="interpreter")
-    assert (p.opt, p.backend) == ("vec1", "interpreter")
-
-
-def test_resolve_probe_rejects_probe_both_ways():
-    with pytest.raises(TypeError):
-        resolve_probe(Probe(), Probe())
-
-
-def test_resolve_probe_rejects_probe_plus_legacy():
-    with pytest.raises(TypeError, match="vector_size"):
-        resolve_probe("vanilla", Probe(), vector_size=16)
-
-
-# -- deprecation shims -------------------------------------------------
-
-
-def test_golden_check_legacy_kwargs_warn_and_agree():
-    with pytest.warns(DeprecationWarning, match="golden_check"):
-        old = golden_check("vanilla", vector_size=8, field_seed=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the Probe path must not warn
-        new = golden_check(Probe(opt="vanilla", vector_size=8, field_seed=3))
-    assert old.ok and new.ok
-    assert old.to_dict() == new.to_dict()
-
-
-def test_phase_output_digests_legacy_kwargs_warn_and_agree():
-    with pytest.warns(DeprecationWarning, match="phase_output_digests"):
-        old = phase_output_digests("vanilla", field_seed=5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        new = phase_output_digests(Probe(opt="vanilla", field_seed=5))
-    assert old == new
-
-
-def test_golden_check_rejects_probe_plus_legacy():
-    with pytest.raises(TypeError):
-        golden_check(Probe(), vector_size=16)
 
 
 def test_golden_report_records_backend():

@@ -4,7 +4,7 @@ vectorization-decision story (Table 4 structure)."""
 import numpy as np
 import pytest
 
-from repro.cfd.assembly import MiniApp, kernel_config_for
+from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
 from repro.machine.machines import RISCV_VEC
 
@@ -19,17 +19,6 @@ def remarks_by_phase(app: MiniApp) -> dict[int, list]:
     for r in app.remarks:
         out.setdefault(r.phase, []).append(r)
     return out
-
-
-def test_kernel_config_levels():
-    cfg = kernel_config_for("scalar", 16)
-    assert not cfg.phase2_const_bound
-    cfg = kernel_config_for("vec2", 16)
-    assert cfg.phase2_const_bound and not cfg.phase2_interchanged
-    cfg = kernel_config_for("vec1", 16)
-    assert cfg.phase2_interchanged and cfg.phase1_fissioned
-    with pytest.raises(ValueError):
-        kernel_config_for("turbo", 16)
 
 
 def test_vanilla_gather_and_scatter_phases_never_vectorize(mesh):

@@ -13,9 +13,10 @@ from repro.experiments.executor import (
     execute_plan,
     load_cached,
     simulate_to_dict,
-    store_cached,
+    store_payload,
 )
 from repro.experiments.runner import Session
+from repro.metrics.counters import counters_to_dict
 
 TINY = (4, 4, 4)
 
@@ -150,7 +151,7 @@ def test_load_cached_rejects_wrong_schema(tmp_path):
 def test_store_cached_roundtrip_and_no_tmp_litter(tmp_path):
     [cfg] = tiny_configs(1)
     run = execute_plan([cfg], cache_dir=tmp_path / "a", jobs=1).counters_for(cfg)
-    store_cached(tmp_path / "b", cfg, run)
+    store_payload(tmp_path / "b", cfg, counters_to_dict(run))
     back = load_cached(tmp_path / "b", cfg)
     assert back.total_cycles == pytest.approx(run.total_cycles)
     assert [p.name for p in (tmp_path / "b").iterdir()] == \
@@ -226,19 +227,13 @@ def test_session_run_accepts_config_first():
 
 
 def test_session_run_many_returns_input_order(tmp_path):
-    s = Session(mesh_dims=TINY, cache_dir=tmp_path)
+    s = Session(mesh_dims=TINY, cache_dir=tmp_path, jobs=2)
     cfgs = tiny_configs(3)
-    runs = s.run_many(list(reversed(cfgs)), jobs=2)
+    runs = s.run_many(list(reversed(cfgs)))
     assert [r.total_cycles for r in runs] == \
         [s.run(c).total_cycles for c in reversed(cfgs)]
     # memoized: run_many again returns identical objects, no re-simulation
     assert s.run_many(cfgs)[0] is s.run(cfgs[0])
-
-
-def test_session_run_many_serial_reuses_session_mesh(tmp_path):
-    s = Session(mesh_dims=TINY, cache_dir=tmp_path)
-    s.run_many(tiny_configs(2), jobs=1)
-    assert ("vanilla", 16, 0) in s._apps  # went through the in-process path
 
 
 def test_session_run_many_raises_on_permanent_failure(tmp_path, monkeypatch):
@@ -257,7 +252,7 @@ def test_session_run_many_raises_on_permanent_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "execute_plan", failing_plan)
     with pytest.raises(SweepError, match="failed permanently"):
-        s.run_many(tiny_configs(1), jobs=2)
+        s.run_many(tiny_configs(1))
 
 
 def test_session_recovers_from_corrupt_cache(tmp_path):

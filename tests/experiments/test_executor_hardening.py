@@ -4,6 +4,7 @@ digests, deterministic backoff, and attempt-preserving pool fallback."""
 import json
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import repro.experiments.executor as ex
 from repro.experiments.config import TINY_MESH, RunConfig
@@ -16,7 +17,6 @@ from repro.experiments.executor import (
     payload_digest,
     simulate_run,
     simulate_to_dict,
-    store_cached,
     store_payload,
 )
 
@@ -47,12 +47,12 @@ def test_crashing_callback_does_not_sink_the_sweep(tmp_path, capsys):
 
 
 def test_store_leaves_no_tmp_residue(tmp_path):
-    store_cached(tmp_path, CFG, simulate_run(CFG))
+    store_payload(tmp_path, CFG, simulate_to_dict(CFG))
     assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
 
 
 def test_truncated_entry_is_discarded(tmp_path):
-    store_cached(tmp_path, CFG, simulate_run(CFG))
+    store_payload(tmp_path, CFG, simulate_to_dict(CFG))
     path = cache_path(tmp_path, CFG)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])  # the torn write
@@ -83,7 +83,7 @@ def test_corrupt_entry_emits_cache_corrupt_event_and_is_counted(tmp_path):
 
 
 def test_bitrot_with_valid_json_is_caught_by_digest(tmp_path):
-    store_cached(tmp_path, CFG, simulate_run(CFG))
+    store_payload(tmp_path, CFG, simulate_to_dict(CFG))
     path = cache_path(tmp_path, CFG)
     payload = json.loads(path.read_text())
     payload["1"]["cycles_total"] += 1.0  # parseable, plausible, wrong
@@ -98,6 +98,26 @@ def test_entry_without_digest_is_rejected(tmp_path):
     assert load_cached(tmp_path, CFG) is None
 
 
+def test_solve_entry_without_solve_record_is_resimulated(tmp_path):
+    # the shape an assembly-only run stored under a solve key has:
+    # phases 1-8 with a valid digest, but no phases 9-12 and no
+    # ``__solve__`` convergence record.
+    solve_cfg = RunConfig(opt="vanilla", vector_size=8, mesh_dims=(3, 2, 2),
+                          solve=True)
+    store_payload(tmp_path, solve_cfg,
+                  simulate_to_dict(replace(solve_cfg, solve=False)))
+    events = []
+    res = execute_plan([solve_cfg], cache_dir=tmp_path,
+                       on_event=events.append)
+    corrupt = [ev for ev in events if ev.kind == "cache_corrupt"]
+    assert len(corrupt) == 1 and "__solve__" in corrupt[0].error
+    assert res.stats.cache_corrupt == 1 and res.stats.simulated == 1
+    assert res.counters_for(solve_cfg).phase_ids() == list(range(1, 13))
+    healed = json.loads(cache_path(tmp_path, solve_cfg).read_text())
+    assert healed["__solve__"]["converged"]
+    assert load_cached(tmp_path, solve_cfg) is not None
+
+
 def test_digest_ignores_reserved_metadata_keys():
     payload = {"1": {"cycles_total": 1.0}}
     annotated = {**payload, "__validation__": {"ok": True}}
@@ -106,9 +126,9 @@ def test_digest_ignores_reserved_metadata_keys():
 
 def test_store_load_roundtrip(tmp_path):
     run = simulate_run(CFG)
-    store_cached(tmp_path, CFG, run)
     from repro.metrics.counters import counters_to_dict
 
+    store_payload(tmp_path, CFG, counters_to_dict(run))
     assert counters_to_dict(load_cached(tmp_path, CFG)) == counters_to_dict(run)
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.config import RunConfig
+from repro.experiments.executor import cache_path, simulate_run
 from repro.experiments.runner import (
     Session,
     counters_from_dict,
@@ -73,14 +74,36 @@ def test_scalar_baseline_is_scalar_vs16():
     assert all(pc.i_v == 0 for pc in base.phases.values())
 
 
-def test_miniapp_memoized():
-    s = Session(mesh_dims=TINY, use_disk=False)
-    assert s.miniapp("vanilla", 16) is s.miniapp("vanilla", 16)
-    assert s.miniapp("vanilla", 16) is not s.miniapp("vec1", 16)
-
-
 def test_phase_cycles_helper():
     s = Session(mesh_dims=TINY, use_disk=False)
     run = s.run(opt="vanilla", vector_size=16)
     assert s.phase_cycles(6, opt="vanilla", vector_size=16) == pytest.approx(
         run.phases[6].cycles_total)
+
+
+# -- one run path: Session.run goes through execute_plan ---------------------
+
+
+def test_session_run_times_the_solver_and_caches_its_record(tmp_path):
+    s = Session(mesh_dims=TINY, cache_dir=tmp_path)
+    cfg = s.config(opt="vanilla", vector_size=16, solve=True)
+    run = s.run(cfg)
+    assert run.phase_ids() == list(range(1, 13))
+    payload = json.loads(cache_path(tmp_path, cfg).read_text())
+    assert payload["__solve__"]["converged"]
+
+
+def test_session_run_honours_explicit_passes():
+    s = Session(mesh_dims=TINY, use_disk=False)
+    passes = ("const-trip-count", "loop-interchange", "loop-fission")
+    cfg = s.config(opt="vanilla", vector_size=16, passes=passes)
+    run = s.run(cfg)
+    want = simulate_run(cfg)
+    assert run.total_cycles == want.total_cycles
+    assert counters_to_dict(run) == counters_to_dict(want)
+
+
+def test_session_run_rejects_config_plus_keywords():
+    s = Session(mesh_dims=TINY, use_disk=False)
+    with pytest.raises(TypeError, match="not both"):
+        s.run(s.config(opt="vanilla"), vector_size=16)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cfd.solver_phases import SOLVER_PHASE_NAMES
 from repro.experiments.runner import Session
 from repro.experiments.summary import ARTIFACTS, evaluation_report, render_artifact
 
@@ -37,3 +38,8 @@ def test_full_report_structure(session):
     assert "Table 5" in text and "Figure 13" in text
     assert "HEADLINE" in text
     assert "64 HEX08 elements" in text
+    # the solver table lists cycles for every solver phase (9-12).
+    solver = text.split("Solver: the timed Krylov path")[1]
+    solver = solver.split("HEADLINE")[0]
+    for pid, name in SOLVER_PHASE_NAMES.items():
+        assert f"{pid}" in solver and name in solver, (pid, name)

@@ -116,10 +116,10 @@ def test_kill_degrades_to_crash_in_parent_process(tmp_path):
 
 def test_torn_cache_truncates_victim_entry(tmp_path):
     from repro.experiments.executor import cache_path, load_cached, \
-        simulate_run, store_cached
+        simulate_to_dict, store_payload
 
     cache_dir = tmp_path / "cache"
-    store_cached(cache_dir, CFG_B, simulate_run(CFG_B))
+    store_payload(cache_dir, CFG_B, simulate_to_dict(CFG_B))
     intact = cache_path(cache_dir, CFG_B).read_bytes()
     worker = FaultyWorker(_plan("torn_cache", CFG_A, victim=CFG_B.key()),
                           tmp_path / "m", cache_dir=cache_dir)
