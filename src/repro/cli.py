@@ -29,11 +29,11 @@ command per artifact or workflow:
   ``--out``, a Chrome ``trace_event`` JSON for ``chrome://tracing``;
 * ``chaos``                     -- seeded fault-injection campaign + report;
   with ``--service-faults`` the sweep-service drills (kill-mid-sweep,
-  torn store shard, submission flood, hung worker, breaker storm) run
+  torn cache entry, submission flood, hung worker, breaker storm) run
   as extra stages;
 * ``serve``                     -- run the supervised sweep service on a
   unix socket: durable job queue, admission control, circuit breaker,
-  content-addressed result store (see ``repro.service``);
+  results kept in the digest-checked run cache (see ``repro.service``);
 * ``submit``                    -- submit a sweep to a running service
   (``--ladder`` for the full rung ladder) and optionally wait/stream;
 * ``jobs``                      -- inspect a running service: job table
@@ -45,7 +45,7 @@ command per artifact or workflow:
   byte-deterministic snapshot for scripting and CI diffs.
 
 ``submit --trace`` stamps a trace id that travels through the journal,
-worker processes, and result store; ``trace --job ID --state-dir DIR``
+worker processes, and cached result; ``trace --job ID --state-dir DIR``
 then renders the job's single cross-process timeline (client-submit →
 queue-wait → worker-execute → store-write).
 
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "every implemented pass-fault kind is detected")
     p.add_argument("--service-faults", action="store_true",
                    help="also drill the sweep service: kill-mid-sweep, "
-                        "torn store shard, submission flood, hung "
+                        "torn cache entry, submission flood, hung "
                         "worker, circuit-breaker storm — every fault "
                         "must classify recovered/detected/rejected")
     p.add_argument("--service-only", action="store_true",
@@ -228,12 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(p)
 
     p = sub.add_parser("serve", help="run the supervised sweep service "
-                                     "(durable queue + result store) on "
+                                     "(durable queue + run cache) on "
                                      "a unix socket")
     p.add_argument("--state-dir", default="sweep-service", metavar="DIR",
-                   help="service state: journal, result store, run cache "
-                        "(default ./sweep-service); restarting on the "
-                        "same dir resumes in-flight jobs")
+                   help="service state: journal, run cache (the result "
+                        "store), job traces (default ./sweep-service); "
+                        "restarting on the same dir resumes in-flight "
+                        "jobs")
     p.add_argument("--socket", default=None, metavar="PATH",
                    help="unix socket path (default STATE_DIR/service.sock)")
     _add_jobs(p)
@@ -266,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="stamp a trace id on the submission; the service "
                         "propagates it through journal, workers, and "
-                        "store, and exports the job's cross-process "
-                        "timeline for 'repro trace --job'")
+                        "cached result, and exports the job's "
+                        "cross-process timeline for 'repro trace --job'")
     p.add_argument("--solve", action="store_true",
                    help="time the full assemble+solve cycle: the run "
                         "adds the Krylov solver kernels (phases 9-12) "
@@ -1075,8 +1076,7 @@ def _render_top(health: dict, metrics: dict) -> str:
     lines.append(
         f"jobs: " + (", ".join(f"{k}={v}" for k, v in sorted(jobs.items()))
                      or "none")
-        + f"; store: {store.get('objects', 0)} object(s), "
-          f"{store.get('dedup_hits', 0)} dedup hit(s); "
+        + f"; store: {store.get('entries', 0)} cache entr(ies); "
           f"rejected {health.get('rejected_total', 0)}, "
           f"slo breaches {health.get('slo_breaches', 0)}")
     lines.append("")

@@ -263,18 +263,26 @@ def payload_digest(payload: dict) -> str:
         json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-def load_cached_entry(cache_dir: str | os.PathLike,
-                      cfg: RunConfig) -> tuple[Optional[RunCounters], str]:
-    """Read one cached run, reporting *why* a miss is a miss.
+def _discard(path: Path, exc: Exception) -> str:
+    """Delete a corrupt cache entry; returns the ``cache_corrupt`` reason."""
+    try:
+        path.unlink()
+    except OSError:  # pragma: no cover - best-effort cleanup
+        pass
+    return f"discarded corrupt cache entry: {exc!r}"
 
-    Returns ``(counters, "")`` on a hit, ``(None, "")`` for a simply
-    missing entry, and ``(None, reason)`` when a corrupt entry —
-    truncated write, bad JSON, wrong schema, missing or mismatching
-    content digest, non-finite counter values, a ``solve=True`` entry
-    without its ``__solve__`` record — was discarded.  The corrupt entry
-    is deleted so the caller re-simulates; the non-empty reason lets the
-    executor surface the repair as a ``cache_corrupt`` event instead of
-    healing silently.
+
+def read_cached_payload(cache_dir: str | os.PathLike,
+                        cfg: RunConfig) -> tuple[Optional[dict], str]:
+    """Read one cached payload as stored, ``__*`` metadata included,
+    after checking its content digest.
+
+    The digest-checking half of :func:`load_cached_entry`, and the one
+    reader of the run cache: ``repro jobs --results`` serves payloads
+    through it.  Returns ``(payload, "")`` on a hit, ``(None, "")`` for a
+    missing entry, and ``(None, reason)`` when a torn, malformed or
+    digest-mismatching entry, or a ``solve=True`` entry without its
+    ``__solve__`` record, was discarded.
 
     :func:`simulate_to_dict` always writes the ``__solve__`` record
     together with phases 9-12, so a solve entry without it holds the
@@ -283,8 +291,6 @@ def load_cached_entry(cache_dir: str | os.PathLike,
     path = cache_path(cache_dir, cfg)
     try:
         text = path.read_text()
-    except FileNotFoundError:
-        return None, ""
     except OSError:
         return None, ""
     try:
@@ -295,13 +301,29 @@ def load_cached_entry(cache_dir: str | os.PathLike,
             raise ValueError("content digest mismatch")
         if cfg.solve and "__solve__" not in data:
             raise ValueError("solve entry without its __solve__ record")
+    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        return None, _discard(path, exc)
+    return data, ""
+
+
+def load_cached_entry(cache_dir: str | os.PathLike,
+                      cfg: RunConfig) -> tuple[Optional[RunCounters], str]:
+    """Read one cached run, reporting *why* a miss is a miss.
+
+    Returns ``(counters, "")`` on a hit, ``(None, "")`` for a simply
+    missing entry, and ``(None, reason)`` when a corrupt entry — any
+    :func:`read_cached_payload` rejection, a wrong schema, non-finite
+    counter values — was discarded.  The corrupt entry is deleted so the
+    caller re-simulates; the non-empty reason lets the executor surface
+    the repair as a ``cache_corrupt`` event instead of healing silently.
+    """
+    data, corrupt = read_cached_payload(cache_dir, cfg)
+    if data is None:
+        return None, corrupt
+    try:
         return counters_from_dict(data), ""
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        return None, f"discarded corrupt cache entry: {exc!r}"
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, _discard(cache_path(cache_dir, cfg), exc)
 
 
 def load_cached(cache_dir: str | os.PathLike, cfg: RunConfig) -> Optional[RunCounters]:
@@ -325,8 +347,8 @@ def write_atomic(target: Path, text: str) -> None:
     The tmp file is fsynced before ``os.replace`` and the directory is
     fsynced after, so a crash at any instant leaves either the old file
     or the complete new one -- never an empty or torn file under the
-    final name.  The one durable writer of the run cache and the
-    service's :class:`~repro.service.store.ResultStore`.
+    final name.  The one durable writer of the run cache, which is
+    also the sweep service's result store (``state_dir/cache``).
     """
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
@@ -657,7 +679,16 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
         if use_disk:
             if validate:
                 payload = {**payload, "__validation__": {"ok": True}}
-            store_payload(cache_dir, cfg, payload)
+            if tracer is None:
+                store_payload(cache_dir, cfg, payload)
+            else:
+                # a payload stamped with a ``__trace__`` id (a traced
+                # service job) puts its write on that job's trace.
+                trace = ({"trace": payload["__trace__"]}
+                         if "__trace__" in payload else {})
+                with tracer.span(f"store-write {key}", cat="store",
+                                 key=key, **trace):
+                    store_payload(cache_dir, cfg, payload)
         jrecord("done", key=key)
         emit("done", key, attempt=attempt, wall_s=wall_s)
 
@@ -686,10 +717,14 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
                 result.stats.validation_failures += 1
                 emit("invalid", key, error="; ".join(violations))
                 if use_disk and key in result.runs:
-                    payload = counters_to_dict(result.runs[key])
-                    payload["__validation__"] = {
-                        "ok": False, "violations": violations}
-                    store_payload(cache_dir, cfg_by_key[key], payload)
+                    # re-store the entry as it is (``__solve__``,
+                    # ``__trace__`` and the rest) with the new verdict.
+                    cfg = cfg_by_key[key]
+                    stored, _ = read_cached_payload(cache_dir, cfg)
+                    if stored is not None:
+                        store_payload(cache_dir, cfg, {
+                            **stored, "__validation__": {
+                                "ok": False, "violations": violations}})
 
         jrecord("sweep_end")
         if tracer is not None:

@@ -189,7 +189,7 @@ def run_chaos_campaign(seed: int = 0,
 
     With ``pass_faults=True`` the three compiler-model fault kinds are
     armed as additional sweep stages.  With ``service_faults=True`` the
-    sweep-service drills (hung worker, torn store shard, submission
+    sweep-service drills (hung worker, torn cache entry, submission
     flood, worker failure storm, kill-mid-sweep + resume) run as extra
     stages — see :mod:`repro.service.chaos`.  The kill stage spawns a
     real ``repro serve`` subprocess and SIGKILLs it, so its evidence

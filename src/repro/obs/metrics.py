@@ -4,8 +4,7 @@ event stream.
 The tracing spine (:mod:`repro.obs.tracer`) answers *when* — a timeline
 of spans.  This module answers *how much* — monotonic counters, gauges,
 and fixed-bucket histograms that the sweep service, admission
-controller, circuit breaker, result store, and executor all publish
-into.  Production HPC tooling treats these as two views of one event
+controller, circuit breaker, and executor all publish into.  Production HPC tooling treats these as two views of one event
 stream (Paraver's trace-then-aggregate model); here the same
 instrumentation points feed both.
 

@@ -1,10 +1,13 @@
 """The supervised sweep service: a multi-tenant job queue in front of
 the chaos-hardened executor.
 
+Results live in the executor's digest-checked run cache under
+``state_dir/cache`` (:func:`~repro.experiments.executor.store_payload` /
+:func:`~repro.experiments.executor.read_cached_payload`), the same store
+local sweeps use: a config any tenant already ran is a cache hit.
+
 Layers (each its own module, each independently testable):
 
-* :mod:`.store` — sharded content-addressed result store (cross-tenant
-  dedup through the digest link plane);
 * :mod:`.admission` — token-bucket admission control with explicit
   rejections;
 * :mod:`.breaker` — the circuit breaker;
@@ -31,7 +34,6 @@ from repro.service.server import (
     default_socket_path,
     wait_for_socket,
 )
-from repro.service.store import ResultStore
 from repro.service.telemetry import ServiceTelemetry, SLOPolicy, stable_status
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "Decision",
     "Job",
     "PriorityScheduler",
-    "ResultStore",
     "SLOPolicy",
     "ServiceClient",
     "ServiceError",

@@ -7,10 +7,11 @@ service-level fault kinds the queue front end must survive:
     a seeded worker hang inside a service job; the executor's timeout
     fires, the retry succeeds, the job completes bit-identical —
     *recovered*;
-``torn_shard``
-    a store shard object truncated mid-write between two service
-    lifetimes; the digest check discards it, a ``store_corrupt`` event
-    surfaces, the config is recomputed to the same digest — *recovered*;
+``torn_entry``
+    a run-cache entry truncated mid-write between two service
+    lifetimes; the digest check discards it, the executor's
+    ``cache_corrupt`` event surfaces in the job's stream, and the config
+    is recomputed to the same digest — *recovered*;
 ``submission_flood``
     a burst far past the admission budget; every excess submission gets
     an explicit ``rejected`` response and a journal record, admitted +
@@ -27,7 +28,7 @@ service-level fault kinds the queue front end must survive:
 ``service_kill``
     a real ``repro serve`` subprocess SIGKILLed mid-sweep; a restarted
     service resumes the job with every journaled completion served from
-    the store, zero recomputation of finished work, and the telemetry
+    the run cache, zero recomputation of finished work, and the telemetry
     counters (per-tenant submits, per-source completions) re-seeded
     from the journal fold — *recovered*.
 
@@ -52,6 +53,7 @@ from pathlib import Path
 from repro.experiments.config import MeshSpec, resolve_mesh
 from repro.experiments.executor import (
     ExecutionPlan,
+    cache_path,
     execute_plan,
     payload_digest,
     simulate_to_dict,
@@ -76,7 +78,7 @@ from repro.service.jobs import replay_service_journal
 
 #: the service fault vocabulary; every kind is drilled by
 #: :func:`append_service_stages` and must classify as a safe outcome.
-SERVICE_FAULT_KINDS = ("hung_worker", "torn_shard", "submission_flood",
+SERVICE_FAULT_KINDS = ("hung_worker", "torn_entry", "submission_flood",
                        "worker_failure_storm", "service_kill")
 
 
@@ -96,7 +98,7 @@ class StepClock:
 
 def _baseline_digests(plan: ExecutionPlan, scratch: Path) -> dict[str, str]:
     """key -> content digest from one clean serial sweep: the yardstick
-    every service stage's stored payloads are compared against."""
+    every service stage's cached payloads are compared against."""
     res = execute_plan(plan, cache_dir=scratch / "service-baseline", jobs=1)
     return {key: payload_digest(counters_to_dict(run))
             for key, run in res.runs.items()}
@@ -143,20 +145,21 @@ def append_service_stages(report: ChaosReport, *,
     svc.close()
     j1 = svc._jobs.get(r1.get("job_id", ""))
     j2 = svc._jobs.get(r2.get("job_id", ""))
+    entries = svc.health()["store"]["entries"]
     ok = (j1 is not None and j2 is not None
           and j1.status == "done" and j2.status == "done"
           and j2.from_store == len(plan) and j2.recomputed == 0
           and _digests_match(svc, j1.job_id, expect)
           and _digests_match(svc, j2.job_id, expect)
-          and svc.store.object_count() == len(set(expect.values())))
+          and entries == len(plan))
     report.stages.append(StageReport(
         name="service-dedup", kind="none", target="",
         classification=CLEAN if ok else SILENT,
         evidence=[
             f"alice computed {j1.recomputed if j1 else '?'}/{len(plan)}, "
             f"bob served {j2.from_store if j2 else '?'}/{len(plan)} "
-            f"from the store",
-            f"store holds {svc.store.object_count()} object(s) for "
+            f"from the run cache",
+            f"run cache holds {entries} entr(ies) for "
             f"{len(expect)} config(s) x 2 tenants",
             f"all digests match clean baseline: "
             f"{_digests_match(svc, j2.job_id, expect) if j2 else False}"]))
@@ -190,42 +193,38 @@ def append_service_stages(report: ChaosReport, *,
             f"all digests match clean baseline: "
             f"{_digests_match(svc, job.job_id, expect) if job else False}"]))
 
-    # -- torn shard: truncated store object between two service lives -----
-    victim_key = keys[seed % len(keys)]
-    note(f"stage torn-shard: tearing {victim_key}")
+    # -- torn entry: truncated run-cache entry between two service lives -
+    victim = configs[seed % len(configs)]
+    victim_key = victim.key()
+    note(f"stage torn-entry: tearing {victim_key}")
     state = scratch / "torn"
     svc = SweepService(str(state))
-    r1 = svc.submit(configs, tenant="alice")
+    svc.submit(configs, tenant="alice")
     svc.process_next()
     svc.close()
-    digest = svc.store.digest_for(victim_key) or ""
-    obj = svc.store.object_path(digest)
-    data = obj.read_bytes()
-    obj.write_bytes(data[:max(1, len(data) // 3)])  # the torn write
-    # drop the executor cache so recovery must truly recompute — the
-    # cache and the store are separate retention domains in production.
-    shutil.rmtree(state / "cache", ignore_errors=True)
+    entry = cache_path(state / "cache", victim)
+    data = entry.read_bytes()
+    entry.write_bytes(data[:max(1, len(data) // 3)])  # the torn write
     svc2 = SweepService(str(state))
     r2 = svc2.submit(configs, tenant="bob")
     svc2.process_next()
     svc2.close()
     job = svc2._jobs.get(r2.get("job_id", ""))
-    corrupt_events = [ev for ev in (job.events if job else [])
-                      if ev.get("kind") == "store_corrupt"]
+    corrupt = [ev.get("key") for ev in (job.events if job else [])
+               if ev.get("kind") == "cache_corrupt"]
     healed = (job is not None and job.status == "done"
-              and svc2.store.stats.corrupt_discarded == 1
-              and corrupt_events
+              and corrupt == [victim_key]
               and job.sources.get(victim_key) == "computed"
               and _digests_match(svc2, job.job_id, expect))
     report.stages.append(StageReport(
-        name="service-torn-shard", kind="torn_shard", target=victim_key,
+        name="service-torn-entry", kind="torn_entry", target=victim_key,
         classification=RECOVERED if healed else SILENT,
         evidence=[
-            f"store discarded {svc2.store.stats.corrupt_discarded} torn "
-            f"object(s), store_corrupt events: {len(corrupt_events)}",
+            f"cache_corrupt events: {len(corrupt)}, on the victim: "
+            f"{corrupt == [victim_key]}",
             f"victim recomputed: "
             f"{job.sources.get(victim_key) if job else None}, other "
-            f"{job.from_store if job else '?'} served from store",
+            f"{job.from_store if job else '?'} served from the run cache",
             f"recomputed digest matches baseline: "
             f"{(job.completed.get(victim_key) == expect[victim_key]) if job else False}"]))
 
@@ -352,7 +351,7 @@ def _kill_stage(plan: ExecutionPlan, expect: dict[str, str],
                 state: Path, note) -> StageReport:
     """SIGKILL a real ``repro serve`` process mid-sweep; a restarted
     service must finish the job serving every journaled completion from
-    the store."""
+    the run cache."""
     from repro.service.client import ServiceClient
     from repro.service.server import default_socket_path, wait_for_socket
 
@@ -401,7 +400,7 @@ def _kill_stage(plan: ExecutionPlan, expect: dict[str, str],
                            target=job_id, classification=SILENT,
                            evidence=evidence)
 
-    # the restarted service: same state dir, journal + store intact.
+    # the restarted service: same state dir, journal + run cache intact.
     svc = SweepService(str(state))
     # counters survive kill -9: the journal fold must have re-seeded the
     # telemetry registry before any new work runs — the dead process's
@@ -409,11 +408,10 @@ def _kill_stage(plan: ExecutionPlan, expect: dict[str, str],
     reg = svc.telemetry.registry
 
     def _configs_counted() -> float:
-        return (
-            reg.counter_value("service_configs_done_total",
-                              source="computed")
-            + reg.counter_value("service_configs_done_total", source="store")
-            + reg.counter_value("service_configs_done_total", source="cache"))
+        return (reg.counter_value("service_configs_done_total",
+                                  source="computed")
+                + reg.counter_value("service_configs_done_total",
+                                    source="store"))
 
     seeded_submits = reg.counter_value("service_submits_total",
                                        tenant="alice")
@@ -422,7 +420,7 @@ def _kill_stage(plan: ExecutionPlan, expect: dict[str, str],
     svc.close()
     job = svc._jobs.get(job_id)
     # the journal fold seeds the dead process's completions; the resumed
-    # job then counts all of its configs again (store-served + recomputed),
+    # job then counts all of its configs again (cache-served + recomputed),
     # so the lifetime total is seeded + one full pass over the plan.
     configs_counted = _configs_counted()
     counters_survived = (seeded_submits == 1
@@ -438,7 +436,7 @@ def _kill_stage(plan: ExecutionPlan, expect: dict[str, str],
     evidence += [
         f"restart requeued {svc.resumed_jobs} in-flight job(s)",
         f"resume served {job.from_store if job else '?'} from "
-        f"store/cache, recomputed {job.recomputed if job else '?'} "
+        f"the run cache, recomputed {job.recomputed if job else '?'} "
         f"(>= {pre_kill} journaled completions preserved: "
         f"{job.from_store >= pre_kill if job else False})",
         f"telemetry counters survived the kill via journal replay: "

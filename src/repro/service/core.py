@@ -5,8 +5,9 @@ long-running, multi-tenant infrastructure.  One instance owns a *state
 directory*::
 
     state_dir/service.journal   durable job table (jobs.py vocabulary)
-    state_dir/store/            sharded content-addressed result store
-    state_dir/cache/            the executor's versioned run cache
+    state_dir/cache/            the result store: the executor's
+                                versioned, digest-checked run cache
+    state_dir/traces/           exported timelines of traced jobs
 
 and exposes the queue API the socket front end (:mod:`.server`) and the
 CLI speak: :meth:`submit` / :meth:`poll` / :meth:`stream` /
@@ -14,14 +15,15 @@ CLI speak: :meth:`submit` / :meth:`poll` / :meth:`stream` /
 
 Robustness properties, each proven by a chaos stage:
 
-* **durability** — every completed run is fsynced into the store and
-  journaled *before* the service acknowledges it; kill -9 at any
+* **durability** — every completed run is fsynced into the run cache
+  and journaled *before* the service acknowledges it; kill -9 at any
   instant and a restarted service re-dispatches in-flight jobs with
-  every previously completed result served from the store, zero
+  every previously completed result served from the cache, zero
   recomputation (``service_kill`` stage);
-* **dedup** — identical configs from any tenant resolve through the
-  store's link plane: a million users sweeping the same config space
-  cost one simulation (baseline stage's cross-tenant drill);
+* **dedup** — the cache is keyed by :meth:`RunConfig.key`, so an
+  identical config from any tenant or job is a cache hit: many users
+  sweeping the same config space cost one simulation (baseline stage's
+  cross-tenant drill);
 * **admission control** — token-bucket rate limits per tenant and
   global, plus a queue-depth bound; every rejection is an explicit
   response with a reason, journaled, never a silent drop
@@ -32,14 +34,13 @@ Robustness properties, each proven by a chaos stage:
   (``worker_failure_storm`` stage);
 * **bounded degradation** — per-run timeout/retry/backoff/quarantine
   are inherited from :func:`~repro.experiments.executor.execute_plan`
-  (``hung_worker`` stage), and a torn store shard fails its digest
-  check and is recomputed, surfaced as a ``store_corrupt`` event
-  (``torn_shard`` stage).
+  (``hung_worker`` stage), and a torn cache entry fails its digest
+  check and is recomputed, surfaced as the executor's
+  ``cache_corrupt`` event (``torn_entry`` stage).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -47,9 +48,10 @@ from typing import Callable, Iterable, Optional
 
 from repro.experiments.config import RunConfig
 from repro.experiments.executor import (
+    MODEL_VERSION,
     RunEvent,
-    cache_path,
     execute_plan,
+    read_cached_payload,
     simulate_to_dict,
 )
 from repro.obs import chrome
@@ -68,7 +70,6 @@ from repro.service.jobs import (
     replay_service_journal,
 )
 from repro.service.scheduler import PriorityScheduler
-from repro.service.store import ResultStore
 from repro.service.telemetry import ServiceTelemetry, SLOPolicy
 
 
@@ -79,15 +80,18 @@ def _event_dict(ev: RunEvent) -> dict:
 
 
 class TracedJobWorker:
-    """Picklable worker wrapper opening one ``worker-execute`` span per
-    config on whatever tracer is ambient where the config actually runs.
+    """Picklable worker wrapper for a traced job: opens one
+    ``worker-execute`` span per config on whatever tracer is ambient
+    where the config actually runs, and stamps the job's trace id into
+    the payload it returns as ``__trace__``.
 
-    In-process (``jobs=1``) that is the job's own tracer, installed by
-    :meth:`SweepService._process`; in a pool worker it is the fresh
-    tracer :class:`~repro.obs.workers.TracedWorker` installs, so the
-    span lands in the per-worker trace file and is merged back with a
-    remapped pid — either way the span carries the job's trace id and
-    the cross-process timeline stays one timeline.
+    In-process (``jobs=1``) the ambient tracer is the job's own,
+    installed by :meth:`SweepService._process`; in a pool worker it is
+    the fresh tracer :class:`~repro.obs.workers.TracedWorker` installs,
+    so the span lands in the per-worker trace file and is merged back
+    with a remapped pid — either way the span carries the job's trace id
+    and the cross-process timeline stays one timeline.  ``__*`` keys
+    never enter the content digest, so the stamp leaves it unchanged.
     """
 
     def __init__(self, worker: Callable[[RunConfig], dict], trace_id: str):
@@ -97,10 +101,12 @@ class TracedJobWorker:
     def __call__(self, cfg: RunConfig) -> dict:
         tracer = _obs_active()
         if tracer is None:
-            return self.worker(cfg)
-        with tracer.span(f"worker-execute {cfg.key()}", cat="worker",
-                         trace=self.trace_id, key=cfg.key()):
-            return self.worker(cfg)
+            payload = self.worker(cfg)
+        else:
+            with tracer.span(f"worker-execute {cfg.key()}", cat="worker",
+                             trace=self.trace_id, key=cfg.key()):
+                payload = self.worker(cfg)
+        return {**payload, "__trace__": self.trace_id}
 
 
 class SweepService:
@@ -133,8 +139,6 @@ class SweepService:
         self.telemetry = telemetry or ServiceTelemetry(slo=slo)
         self.clock = clock
         self.cache_dir = self.state_dir / "cache"
-        self.store = ResultStore(self.state_dir / "store",
-                                 metrics=self.telemetry.registry)
         self.traces_dir = self.state_dir / "traces"
         # every component publishes into the one telemetry registry.
         self.admission.metrics = self.telemetry.registry
@@ -185,7 +189,7 @@ class SweepService:
         **traced job**: the service opens a per-job tracer whose epoch is
         the submission instant, stamps a ``client-submit`` marker, and
         every later stage — queue wait, worker execution (in-process or
-        across the pool), store writes — lands on the same timeline,
+        across the pool), cache writes — lands on the same timeline,
         exported to ``state_dir/traces/<job_id>.json`` at job terminal.
         """
         if isinstance(configs, RunConfig):
@@ -285,8 +289,8 @@ class SweepService:
         return job_id
 
     def _complete(self, job: Job, key: str, digest: str, source: str) -> None:
-        """Mark one config done — store linked, journal written, event
-        emitted — under the service lock."""
+        """Mark one config done — its payload already durable in the
+        cache — journal it and emit the event, under the service lock."""
         with self._lock:
             job.completed[key] = digest
             job.sources[key] = source
@@ -339,101 +343,46 @@ class SweepService:
             pass
 
     def _process_inner(self, job: Job, tracer) -> None:
+        """Run the job's whole config list through ``execute_plan`` once:
+        work completed earlier — by any tenant or job, or before a kill —
+        arrives as a ``cache_hit`` (provenance ``store``), new work as
+        ``done`` (``computed``), and a torn entry as ``cache_corrupt``
+        before its recomputation."""
         cfg_by_key = {cfg.key(): cfg for cfg in job.configs}
-
-        # -- resumed completions: serve from the store, never recompute ----
-        for key in list(job.completed):
-            payload = self.store.get(job.completed[key])
-            if payload is None:
-                # lost or torn object: recompute this one config.
-                with self._lock:
-                    job.events.append({"kind": "store_corrupt", "key": key,
-                                       "error": "journaled result missing "
-                                                "from store"})
-                    del job.completed[key]
-                    job.sources.pop(key, None)
-            else:
-                self._complete(job, key, job.completed[key], "store")
-
-        # -- cross-tenant / cross-job dedup through the link plane ---------
-        before = self.store.stats.corrupt_discarded
-        for key, cfg in cfg_by_key.items():
-            if key in job.completed:
-                continue
-            payload = self.store.lookup(key)
-            if payload is not None:
-                self._complete(job, key, payload["__digest__"], "store")
-        torn = self.store.stats.corrupt_discarded - before
-        if torn:
-            with self._lock:
-                job.events.append({"kind": "store_corrupt",
-                                   "error": f"{torn} torn shard object(s) "
-                                            "discarded, recomputing"})
-            if tracer is not None:
-                tracer.event("store corruption repaired", cat="service",
-                             job=job.job_id, objects=torn)
-
-        remaining = [cfg for key, cfg in cfg_by_key.items()
-                     if key not in job.completed]
-
-        def store_write(key: str, payload: dict) -> str:
-            """Put + link one payload, on the job's timeline if traced."""
-            if job.tracer is not None:
-                with job.tracer.span(f"store-write {key}", cat="store",
-                                     trace=job.trace_id, key=key):
-                    digest = self.store.put(payload, trace_id=job.trace_id)
-                    self.store.link(key, digest)
-            else:
-                digest = self.store.put(payload)
-                self.store.link(key, digest)
-            return digest
 
         def on_event(ev: RunEvent) -> None:
             if ev.kind in ("done", "cache_hit"):
-                cfg = cfg_by_key.get(ev.key)
-                payload = self._cache_payload(cfg) if cfg is not None else None
+                payload, _ = read_cached_payload(self.cache_dir,
+                                                 cfg_by_key[ev.key])
                 if payload is not None:
-                    digest = store_write(ev.key, payload)
-                    self._complete(job, ev.key, digest,
-                                   "computed" if ev.kind == "done" else "cache")
+                    self._complete(job, ev.key, payload["__digest__"],
+                                   "computed" if ev.kind == "done"
+                                   else "store")
                     return
             with self._lock:
                 job.events.append(_event_dict(ev))
+                if ev.kind == "cache_corrupt":
+                    # a journaled result is gone: not done until redone.
+                    job.completed.pop(ev.key, None)
+                    job.sources.pop(ev.key, None)
             if tracer is not None:
                 tracer.counter("service run queue", ev.queued)
 
         worker = self.worker
         if job.trace_id:
             worker = TracedJobWorker(worker, job.trace_id)
-
-        result = None
-        if remaining:
-            result = execute_plan(remaining, cache_dir=self.cache_dir,
-                                  jobs=self.jobs_n, timeout_s=self.timeout_s,
-                                  retries=self.retries,
-                                  backoff_s=self.backoff_s,
-                                  validate=self.validate, worker=worker,
-                                  on_event=on_event)
+        result = execute_plan(job.configs, cache_dir=self.cache_dir,
+                              jobs=self.jobs_n, timeout_s=self.timeout_s,
+                              retries=self.retries, backoff_s=self.backoff_s,
+                              validate=self.validate, worker=worker,
+                              on_event=on_event)
 
         with self._lock:
-            if result is not None:
-                job.failed.update(result.failed)
-                # anything that simulated but missed the event hook (e.g.
-                # a cache write race) is reconciled from the result map.
-                from repro.metrics.counters import counters_to_dict
-
-                for key, run in result.runs.items():
-                    if key not in job.completed:
-                        payload = counters_to_dict(run)
-                        digest = self.store.put(payload,
-                                                trace_id=job.trace_id)
-                        self.store.link(key, digest)
-                        job.completed[key] = digest
-                        job.sources[key] = "computed"
-                        self._journal.record("config_done", job_id=job.job_id,
-                                             key=key, digest=digest,
-                                             source="computed")
-                        self.telemetry.record_config_done("computed")
+            job.failed.update(result.failed)
+            # a run whose result cannot be read back is not done.
+            for key in sorted(cfg_by_key.keys() - job.completed.keys()
+                              - job.failed.keys()):
+                job.failed[key] = "no verified result in the run cache"
             if job.failed:
                 job.status = FAILED
                 job.error = (f"{len(job.failed)} run(s) failed permanently; "
@@ -450,14 +399,6 @@ class SweepService:
                              status=job.status,
                              from_store=job.from_store,
                              recomputed=job.recomputed)
-
-    def _cache_payload(self, cfg: RunConfig) -> Optional[dict]:
-        """The raw executor-cache payload for one config (digest intact)."""
-        try:
-            data = json.loads(cache_path(self.cache_dir, cfg).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return data if isinstance(data, dict) else None
 
     # -- queries -----------------------------------------------------------
 
@@ -484,17 +425,20 @@ class SweepService:
                     "cursor": cursor + len(events), "job": job.view()}
 
     def fetch(self, job_id: str) -> dict:
-        """Completed payloads for one job, straight from the store."""
+        """Completed payloads for one job, read back from the run cache
+        through its digest-checking reader; an entry whose digest is not
+        the one this job journaled is left out."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 return {"ok": False, "error": f"unknown job {job_id!r}"}
-            completed = dict(job.completed)
+            done = [(cfg, job.completed[cfg.key()]) for cfg in job.configs
+                    if cfg.key() in job.completed]
         payloads = {}
-        for key, digest in completed.items():
-            payload = self.store.get(digest)
-            if payload is not None:
-                payloads[key] = payload
+        for cfg, digest in done:
+            payload, _ = read_cached_payload(self.cache_dir, cfg)
+            if payload is not None and payload["__digest__"] == digest:
+                payloads[cfg.key()] = payload
         return {"ok": True, "results": payloads}
 
     def health(self) -> dict:
@@ -512,7 +456,8 @@ class SweepService:
                 "resumed_jobs": self.resumed_jobs,
                 "breaker": self.breaker.health(),
                 "admission": self.admission.health(),
-                "store": self.store.health(),
+                "store": {"entries": sum(1 for _ in self.cache_dir.glob(
+                    f"v{MODEL_VERSION}-*.json"))},
                 "slo_breaches": self.telemetry.breach_count(),
             }
 

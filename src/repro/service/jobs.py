@@ -14,9 +14,8 @@ killed at any instant resumes with zero completed results lost:
   leaves a durable trace, admitted or not);
 * ``job_start`` — a worker picked the job up;
 * ``config_done`` — one config completed, with its result digest and
-  provenance (``computed`` / ``store`` / ``cache``); written *after*
-  the payload is durably in the result store, so the journal is never
-  ahead of the data;
+  provenance (``computed`` / ``store``); written *after* the payload is
+  durably in the run cache, so the journal is never ahead of the data;
 * ``job_done`` / ``job_failed`` — terminal states;
 * ``slo_breach`` — a per-tenant SLO verdict flipped to breached (see
   :mod:`repro.service.telemetry`); journaled so degradation episodes
@@ -26,7 +25,7 @@ killed at any instant resumes with zero completed results lost:
 :func:`replay_service_journal` folds the file into the job table; jobs
 that were queued or running when the process died come back ``queued``
 with their ``completed`` maps intact — the service re-dispatches them
-and every already-completed config is served from the store, not
+and every already-completed config is served from the run cache, not
 recomputed.  The fold also tallies per-tenant submit / reject /
 done / failed counts and per-source config completions, which is how
 the telemetry plane's counters survive ``kill -9``
@@ -61,9 +60,10 @@ class Job:
     kind: str = "sweep"
     #: cfg key -> result digest, completed so far.
     completed: dict = field(default_factory=dict)
-    #: cfg key -> provenance: ``computed`` (simulated in this job),
-    #: ``store`` (cross-tenant/job dedup hit), ``cache`` (executor cache
-    #: entry adopted into the store on resume).
+    #: cfg key -> provenance: ``computed`` (simulated in this job) or
+    #: ``store`` (a run-cache hit: computed earlier by any tenant or job,
+    #: or before a restart).  Older journals may also hold ``cache``;
+    #: anything but ``computed`` counts as served.
     sources: dict = field(default_factory=dict)
     #: cfg key -> error for configs that failed permanently.
     failed: dict = field(default_factory=dict)
@@ -87,7 +87,7 @@ class Job:
 
     @property
     def from_store(self) -> int:
-        """Configs served without recomputation (store or cache dedup)."""
+        """Configs served from the run cache without recomputation."""
         return sum(1 for s in self.sources.values() if s != "computed")
 
     @property
@@ -128,7 +128,7 @@ class ServiceState:
     tenant_rejects: dict = field(default_factory=dict)
     tenant_done: dict = field(default_factory=dict)
     tenant_failed: dict = field(default_factory=dict)
-    #: config completions by provenance (computed / store / cache).
+    #: config completions by provenance (computed / store).
     configs_done: dict = field(default_factory=dict)
     #: journaled SLO breach records: {"tenant": ..., "slo": ...}.
     slo_breaches: list = field(default_factory=list)

@@ -3,8 +3,8 @@
 :class:`ServiceTelemetry` is the one place the sweep service's moving
 parts publish aggregate state: the service core reports submits /
 rejects / job terminals / queue waits, the circuit breaker reports state
-transitions (via its ``on_transition`` hook), the result store and the
-admission controller increment their own counters through the shared
+transitions (via its ``on_transition`` hook), the admission controller
+increments its own counters through the shared
 :class:`~repro.obs.metrics.MetricsRegistry`, and the executor publishes
 ambient run events when a registry is installed.  Everything lands in
 one lock-safe registry, exposed through the wire protocol's ``metrics``
@@ -275,7 +275,6 @@ _STABLE_COUNTER_PREFIXES = (
     "service_configs_done_total",
     "service_slo_breaches_total",
     "breaker_transitions_total",
-    "store_",
 )
 
 
@@ -295,7 +294,6 @@ def stable_status(health: dict, metrics: dict) -> dict:
     }
     slo = metrics.get("slo", {})
     breaker = health.get("breaker", {})
-    store = health.get("store", {})
     return {
         "status": health.get("status"),
         "queue_depth": health.get("queue_depth"),
@@ -303,11 +301,7 @@ def stable_status(health: dict, metrics: dict) -> dict:
         "rejected_total": health.get("rejected_total"),
         "breaker": {"state": breaker.get("state"),
                     "trips": breaker.get("trips")},
-        "store": {"objects": store.get("objects"),
-                  "links": store.get("links"),
-                  "puts": store.get("puts"),
-                  "dedup_hits": store.get("dedup_hits"),
-                  "hits": store.get("hits")},
+        "store": {"entries": health.get("store", {}).get("entries")},
         "counters": counters,
         "slo": slo,
     }

@@ -118,6 +118,27 @@ def test_solve_entry_without_solve_record_is_resimulated(tmp_path):
     assert load_cached(tmp_path, solve_cfg) is not None
 
 
+def test_flop_ladder_restore_keeps_the_solve_record(tmp_path, monkeypatch):
+    # a cross-rung verdict re-stores the entry with its new
+    # __validation__; the rewrite must keep the other __* metadata, or a
+    # solve entry loses __solve__ and is re-simulated on its next load.
+    import repro.validation.invariants as invariants
+
+    solve_cfg = replace(CFG, solve=True)
+    flagged = {solve_cfg.key(): ["flagged for the test"]}
+    monkeypatch.setattr(invariants, "check_flop_ladder",
+                        lambda runs, rtol=1e-6: flagged)
+    res = execute_plan([solve_cfg], cache_dir=tmp_path, validate=True)
+    assert res.invalid_keys() == [solve_cfg.key()]
+    entry = json.loads(cache_path(tmp_path, solve_cfg).read_text())
+    assert entry["__validation__"] == {
+        "ok": False, "violations": ["flagged for the test"]}
+    assert entry["__solve__"] == simulate_to_dict(solve_cfg)["__solve__"]
+    again = execute_plan([solve_cfg], cache_dir=tmp_path)
+    assert again.stats.cache_hits == 1
+    assert again.stats.cache_corrupt == again.stats.simulated == 0
+
+
 def test_digest_ignores_reserved_metadata_keys():
     payload = {"1": {"cycles_total": 1.0}}
     annotated = {**payload, "__validation__": {"ok": True}}

@@ -22,7 +22,7 @@ def test_in_process_service_faults_all_classify_safely(tmp_path):
             continue
         assert kind in by_kind, f"{kind} was not drilled"
     assert by_kind["hung_worker"].classification == RECOVERED
-    assert by_kind["torn_shard"].classification == RECOVERED
+    assert by_kind["torn_entry"].classification == RECOVERED
     # the telemetry plane upgrades flood/storm from merely-safe to
     # *degraded*: the SLO breach was detected AND journaled.
     assert by_kind["submission_flood"].classification == DEGRADED

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.experiments.config import TINY_MESH
-from repro.experiments.executor import ExecutionPlan, payload_digest
+from repro.experiments.config import TINY_MESH, RunConfig
+from repro.experiments.executor import (
+    MODEL_VERSION,
+    ExecutionPlan,
+    cache_path,
+    payload_digest,
+)
 from repro.faults.injector import AlwaysCrashWorker, InterruptingWorker
 from repro.service import SweepService
 from repro.service.admission import AdmissionController
@@ -34,13 +39,46 @@ def test_cross_tenant_dedup_through_the_store(tmp_path):
     second = svc.submit(CONFIGS, tenant="bob")
     svc.process_next()
     view = svc.poll(second["job_id"])["job"]
-    # bob's identical sweep never re-simulates: all served by digest.
+    # bob's identical sweep never re-simulates: all run-cache hits.
     assert view["from_store"] == len(CONFIGS)
     assert view["recomputed"] == 0
-    assert svc.store.stats.hits == len(CONFIGS)
+    kinds = [ev["kind"] for ev in svc.stream(second["job_id"])["events"]]
+    assert kinds == ["store_hit"] * len(CONFIGS)
+    assert svc.telemetry.registry.counter_value(
+        "service_configs_done_total", source="store") == len(CONFIGS)
     alice = svc.poll(first["job_id"])["job"]
     assert alice["recomputed"] == len(CONFIGS)
+    # two tenants, one cache entry per config.
+    assert svc.health()["store"] == {"entries": len(CONFIGS)}
     svc.close()
+
+
+def test_one_job_leaves_one_cache_entry_per_config(tmp_path):
+    state = tmp_path / "svc"
+    svc = SweepService(str(state))
+    svc.submit(CONFIGS, tenant="alice")
+    svc.process_next()
+    svc.close()
+    assert not (state / "store").exists()
+    cached = sorted((state / "cache").glob(f"v{MODEL_VERSION}-*.json"))
+    assert len(cached) == len(CONFIGS)
+    assert sorted((state / "cache").iterdir()) == cached  # nothing else
+
+
+def test_fetch_returns_the_solve_record(tmp_path):
+    # the convergence record is digest-neutral metadata, and it comes
+    # back out of the run cache so jobs --results can surface it.
+    cfg = RunConfig(opt="vanilla", vector_size=8, mesh_dims=(3, 2, 2),
+                    solve=True)
+    svc = SweepService(str(tmp_path / "svc"))
+    resp = svc.submit([cfg], tenant="alice")
+    svc.process_next()
+    payload = svc.fetch(resp["job_id"])["results"][cfg.key()]
+    svc.close()
+    assert payload["__solve__"]["converged"]
+    assert payload["__digest__"] == payload_digest(payload)
+    assert payload["__digest__"] == svc._jobs[resp["job_id"]].completed[
+        cfg.key()]
 
 
 def test_fetch_serves_digest_verified_payloads(tmp_path):
@@ -151,6 +189,44 @@ def test_kill_mid_job_resumes_from_the_store(tmp_path):
     svc2.close()
 
 
+def test_torn_entry_of_a_resumed_job_is_not_counted_done(tmp_path):
+    state = tmp_path / "svc"
+    svc = SweepService(str(state), worker=InterruptingWorker(2))
+    resp = svc.submit(CONFIGS, tenant="alice")
+    with pytest.raises(KeyboardInterrupt):
+        svc.process_next()
+    svc.close()
+    # tear one journaled result, then resume on a backend that cannot
+    # recompute it: the torn config fails instead of counting as done.
+    victim = CONFIGS[0]
+    cache_path(state / "cache", victim).write_text("{torn")
+    svc2 = SweepService(str(state), worker=AlwaysCrashWorker(), retries=0,
+                        backoff_s=0.0)
+    svc2.process_next()
+    svc2.close()
+    job = svc2._jobs[resp["job_id"]]
+    assert "cache_corrupt" in {ev["kind"] for ev in job.events
+                               if ev.get("key") == victim.key()}
+    assert job.status == "failed"
+    assert victim.key() in job.failed
+    assert set(job.completed) == {CONFIGS[1].key()}
+
+
+def test_result_not_read_back_fails_the_job(tmp_path, monkeypatch):
+    import repro.service.core as core
+
+    monkeypatch.setattr(core, "read_cached_payload",
+                        lambda cache_dir, cfg: (None, ""))
+    svc = SweepService(str(tmp_path / "svc"))
+    resp = svc.submit(CONFIGS[:1], tenant="alice")
+    svc.process_next()
+    svc.close()
+    view = svc.poll(resp["job_id"])["job"]
+    assert view["status"] == "failed"
+    assert view["failed"] == {
+        CONFIGS[0].key(): "no verified result in the run cache"}
+
+
 def test_health_document_shape(tmp_path):
     svc = SweepService(str(tmp_path / "svc"))
     svc.submit(CONFIGS[:1], tenant="alice")
@@ -161,5 +237,5 @@ def test_health_document_shape(tmp_path):
     assert health["queue_depth"] == 0
     assert set(health["breaker"]) == {"state", "trips",
                                       "consecutive_failures"}
-    assert health["store"]["objects"] == 1
+    assert health["store"] == {"entries": 1}
     svc.close()

@@ -156,13 +156,12 @@ def test_stable_status_filters_wall_clock_series():
     health = {"status": "serving", "queue_depth": 0,
               "jobs": {"done": 2}, "rejected_total": 1,
               "breaker": {"state": "closed", "trips": 0, "cooldown_s": 5.0},
-              "store": {"objects": 2, "links": 4, "puts": 2,
-                        "dedup_hits": 2, "hits": 0, "corrupt": 0}}
+              "store": {"entries": 2}}
     metrics = {
         "metrics": {
             "counters": {
                 "service_submits_total{tenant=alice}": 2.0,
-                "store_puts_total": 2.0,
+                "service_configs_done_total{source=store}": 2.0,
                 "executor_events_total{kind=done}": 7.0,  # unstable: jobs=N
                 "admission_decisions_total{outcome=admitted}": 2.0,
             },
@@ -173,9 +172,11 @@ def test_stable_status_filters_wall_clock_series():
     }
     status = stable_status(health, metrics)
     assert set(status["counters"]) == {
-        "service_submits_total{tenant=alice}", "store_puts_total"}
+        "service_submits_total{tenant=alice}",
+        "service_configs_done_total{source=store}"}
     assert "histograms" not in json.dumps(status)
     assert status["breaker"] == {"state": "closed", "trips": 0}
+    assert status["store"] == {"entries": 2}
     assert status["slo"] == {"alice": {"ok": True}}
     # deterministic serialization: the CI diff contract.
     assert (json.dumps(status, sort_keys=True)
@@ -184,8 +185,9 @@ def test_stable_status_filters_wall_clock_series():
 
 def test_service_metrics_verb_and_trace_export(tmp_path):
     """End-to-end through SweepService: metrics verb, SLO plane, trace
-    propagation into the store payload and the exported timeline."""
+    propagation into the cached payload and the exported timeline."""
     from repro.experiments.config import RunConfig
+    from repro.experiments.executor import cache_path, payload_digest
     from repro.service.core import SweepService
 
     svc = SweepService(str(tmp_path / "state"))
@@ -200,10 +202,11 @@ def test_service_metrics_verb_and_trace_export(tmp_path):
         "service_submits_total{tenant=alice}"] == 1.0
     assert out["slo"]["alice"]["ok"]
     assert out["slo_policy"] == SLOPolicy().to_dict()
-    # the trace id reached the store payload (digest-neutral __ key)...
-    digest = svc.store.digest_for(cfg.key())
-    body = json.loads(svc.store.object_path(digest).read_text())
+    # the trace id reached the cached payload (digest-neutral __ key)...
+    body = json.loads(cache_path(tmp_path / "state" / "cache",
+                                 cfg).read_text())
     assert body["__trace__"] == "feedbeef12345678"
+    assert body["__digest__"] == payload_digest(body)
     # ...and the exported timeline has the whole story under one id.
     doc = json.loads(svc.trace_export_path(resp["job_id"]).read_text())
     assert doc["otherData"]["trace_id"] == "feedbeef12345678"
