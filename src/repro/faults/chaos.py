@@ -463,7 +463,7 @@ def run_chaos_campaign(seed: int = 0,
         from repro.machine.machines import get_machine
 
         hier = MemoryHierarchy(get_machine("riscv_vec").memory)
-        hier.access(np.arange(256, dtype=np.int64) * 8)
+        hier.access([np.arange(256, dtype=np.int64) * 8])
         assert not hier.check_invariants()
         inject_cache_miss_drift(hier.l1, delta=hier.l1.accesses + 1)
         cache_viol = hier.check_invariants()

@@ -10,25 +10,48 @@ overflows L1, and Table 6 shows the cycle counts of those phases are
 explained (R^2 > 0.9) by L1 data-cache misses plus memory-instruction
 ratio.
 
-Performance notes (the simulator itself follows the HPC guidance this
-repo was built under): addresses are produced in NumPy batches by the
-code generator, collapsed to cache-line indices and consecutive-duplicate
-deduplicated vectorially, and only the surviving line stream runs through
-the per-access LRU loop.
+How hits are decided.  The model is exact LRU, decided for a whole batch
+of accesses at once with NumPy instead of line by line.  By the stack
+property of LRU (Mattson et al., "Evaluation techniques for storage
+hierarchies", 1970), an access to a line hits if and only if fewer than
+``assoc`` distinct lines of its set were touched strictly between it and
+the previous touch of the same line.  So a batch is stable-sorted by set,
+each touched set's resident lines are put in front of its accesses (least
+recently used first), every access is linked to the previous touch of its
+line, and the distinct lines in each window are counted.  The count stops
+once it reaches ``assoc``: at any point at most ``assoc`` lines of a set
+are that close to the top of its LRU stack, so the counting work is at
+most ``assoc`` times the batch length.  The resident lines after the
+batch are the last ``assoc`` distinct lines of each touched set.
+
+Batches are bounded (:data:`BATCH_LINES`), so one kernel's worth of lines
+is decided in a few large batches without holding working arrays the
+size of the whole kernel.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.machine.params import CacheParams, MemoryParams
 
+#: lines :meth:`Cache.access_lines` decides per batch.  A batch costs about
+#: sixty NumPy calls, so batches must be large for the per-call overhead
+#: to vanish, but a batch's working arrays grow with it: with whole-kernel
+#: batches (up to ~340k lines) the peak resident memory of a quick-mesh
+#: run rose from 87 to 100 MB, with 64k-line batches to 90 MB, while 16k
+#: lines keep it at 87 MB.  A constant, not an option, for that reason.
+BATCH_LINES = 1 << 14
+
 
 def addresses_to_lines(addrs: np.ndarray, line_bytes: int) -> np.ndarray:
-    """Convert byte addresses to cache-line indices."""
-    return np.asarray(addrs, dtype=np.int64) // line_bytes
+    """Convert byte addresses to cache-line indices (*line_bytes* is a
+    power of two, so this is a shift rather than a division)."""
+    if line_bytes & (line_bytes - 1):
+        raise ValueError(f"line size {line_bytes} is not a power of two")
+    return np.asarray(addrs, dtype=np.int64) >> (line_bytes.bit_length() - 1)
 
 
 def dedup_consecutive(lines: np.ndarray) -> np.ndarray:
@@ -48,52 +71,162 @@ def dedup_consecutive(lines: np.ndarray) -> np.ndarray:
     return lines[keep]
 
 
+def _batches(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Regroup line arrays into whole multiples of :data:`BATCH_LINES`
+    (the last one shorter), in order."""
+    pending: list[np.ndarray] = []
+    size = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += chunk.size
+        if size >= BATCH_LINES:
+            joined = np.concatenate(pending)
+            cut = size - size % BATCH_LINES
+            yield joined[:cut]
+            pending, size = [joined[cut:]], size - cut
+    if size:
+        yield np.concatenate(pending)
+
+
+def _misses_before(masks: list[np.ndarray], bounds: np.ndarray) -> np.ndarray:
+    """How many of one level's accesses missed before each of *bounds*
+    (positions in the level's input); *masks* are its miss masks."""
+    missed = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *masks]))
+    return np.searchsorted(missed, bounds)
+
+
 class Cache:
-    """One set-associative LRU cache level."""
+    """One set-associative LRU cache level.
+
+    The resident lines live in an ``(n_sets, assoc)`` array, each row
+    ordered least to most recently used and right-aligned: set ``s``
+    holds ``fill[s]`` lines in its last columns.
+    """
 
     def __init__(self, params: CacheParams):
         self.params = params
         self._n_sets = params.n_sets
         self._assoc = params.assoc
-        self._sets: list[list[int]] = [[] for _ in range(self._n_sets)]
+        self._set_mask = params.n_sets - 1
+        #: narrowest dtype of a set index: NumPy sorts up to 16 bits by radix.
+        self._set_dtype = np.min_scalar_type(params.n_sets - 1)
+        self._ways = np.zeros((params.n_sets, params.assoc), dtype=np.int64)
+        self._fill = np.zeros(params.n_sets, dtype=np.int64)
         self.accesses = 0
         self.misses = 0
 
     def reset(self) -> None:
-        for s in self._sets:
-            s.clear()
+        self._fill[:] = 0
         self.accesses = 0
         self.misses = 0
 
     def access_lines(self, lines: np.ndarray) -> np.ndarray:
-        """Access a stream of line indices; return the missed lines.
+        """Access a stream of line indices in order.
 
-        The returned array preserves stream order so it can be fed to the
-        next level directly.
+        Returns a boolean mask over *lines*, true where the access missed,
+        so ``lines[mask]`` is the missed lines in stream order, ready for
+        the next level.
         """
-        n_sets = self._n_sets
-        assoc = self._assoc
-        sets = self._sets
-        missed: list[int] = []
-        append = missed.append
-        for line in lines.tolist():
-            ways = sets[line % n_sets]
-            if line in ways:
-                if ways[-1] != line:  # move to MRU position
-                    ways.remove(line)
-                    ways.append(line)
-            else:
-                append(line)
-                ways.append(line)
-                if len(ways) > assoc:
-                    del ways[0]
+        lines = np.asarray(lines, dtype=np.int64)
+        miss = np.empty(lines.size, dtype=bool)
+        for start in range(0, lines.size, BATCH_LINES):
+            stop = start + BATCH_LINES
+            miss[start:stop] = self._access_batch(lines[start:stop])
         self.accesses += int(lines.size)
-        self.misses += len(missed)
-        return np.asarray(missed, dtype=np.int64)
+        self.misses += int(np.count_nonzero(miss))
+        return miss
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
+    def _access_batch(self, lines: np.ndarray) -> np.ndarray:
+        """Miss mask of one batch; updates the resident lines.  Working
+        arrays are deleted as soon as they are used up, which cuts the
+        peak memory of a batch by a third to a half."""
+        assoc, set_mask = self._assoc, self._set_mask
+        sets = (lines & set_mask).astype(self._set_dtype)
+
+        # Each touched set's resident lines, LRU first, then its accesses
+        # in stream order: a stable sort by set with the residents first.
+        touched = np.flatnonzero(np.bincount(sets, minlength=self._n_sets))
+        fill = self._fill[touched]
+        resident = self._ways[touched][
+            np.arange(assoc) >= (assoc - fill)[:, None]]
+        n_resident = resident.size
+        order = np.argsort(np.concatenate(
+            (np.repeat(touched, fill).astype(self._set_dtype), sets)),
+            kind="stable")
+        del sets
+        seq = np.concatenate((resident, lines))[order]
+        del resident
+
+        # A touch of the line its set touched last is a hit that moves
+        # nothing: drop it.  ``pos`` maps what is left to ``order``'s input.
+        new = np.empty(seq.size, dtype=bool)
+        new[0] = True
+        np.not_equal(seq[1:], seq[:-1], out=new[1:])
+        pos, seq = order[new], seq[new]
+        del order, new
+        n = seq.size
+
+        # Link each touch to the previous touch of its line: sort (line,
+        # position) pairs packed into one int64, lines relative to the
+        # smallest one.
+        shift = n.bit_length()
+        low = int(seq.min())
+        if int(seq.max()) - low >= 1 << (63 - shift):
+            raise ValueError("line indices of one batch span more than "
+                             f"2**{63 - shift} lines")
+        key = seq - low
+        key <<= shift
+        key |= np.arange(n)
+        key.sort()
+        at = key & ((1 << shift) - 1)
+        key >>= shift
+        again = key[1:] == key[:-1]
+        del key
+        prev, cur = at[:-1][again], at[1:][again]
+        del at, again
+
+        # The touch at y brings a line new to the window that opens at p
+        # exactly when its own previous touch lies before p: gap[y] > y - p.
+        gap = np.full(n, n)
+        span = cur - prev
+        gap[cur] = span
+        hit = np.zeros(n, dtype=bool)
+        # A window shorter than assoc cannot hold assoc distinct lines.
+        hit[cur[span <= assoc]] = True
+        wide = span > assoc
+        p, q, span = prev[wide], cur[wide], span[wide]
+        del cur, wide
+        seen = np.zeros(p.size, dtype=np.int64)
+        for d in range(1, assoc + 1):  # inside every wide window
+            seen += gap[p + d] > d
+        scanned, width = assoc, assoc
+        while p.size:
+            evicted = seen >= assoc
+            done = evicted | (span <= scanned + 1)
+            hit[q[done & ~evicted]] = True
+            p, q, span, seen = (a[~done] for a in (p, q, span, seen))
+            d = scanned + 1 + np.arange(width)
+            y = np.minimum(p[:, None] + d, n - 1)
+            seen += ((gap[y] > d) & (d < span[:, None])).sum(axis=1)
+            scanned += width
+            width *= 2
+        del gap
+
+        # New state: the last assoc distinct lines of each touched set.
+        last = np.ones(n, dtype=bool)
+        last[prev] = False
+        final = seq[last]
+        final_sets = final & set_mask
+        count = np.bincount(final_sets, minlength=self._n_sets)
+        from_mru = np.cumsum(count)[final_sets] - np.arange(1, final.size + 1)
+        keep = from_mru < assoc
+        self._ways.reshape(-1)[final_sets[keep] * assoc + (assoc - 1)
+                               - from_mru[keep]] = final[keep]
+        self._fill[touched] = np.minimum(count[touched], assoc)
+
+        miss = np.zeros(n_resident + lines.size, dtype=bool)
+        miss[pos[~hit]] = True
+        return miss[n_resident:]
 
     def check_invariants(self, label: str = "cache") -> list[str]:
         """Accounting sanity: ``0 <= misses <= accesses``.  Returns the
@@ -114,8 +247,8 @@ class Cache:
 class MemoryHierarchy:
     """L1 (+ optional L2) hierarchy with penalty accounting.
 
-    ``access`` returns the total stall cycles implied by the misses; hit
-    costs are part of the instruction timing and are *not* charged here.
+    Stall penalties are the misses' cost only; hit costs are part of the
+    instruction timing and are *not* charged here.
     """
 
     def __init__(self, params: MemoryParams, enabled: bool = True):
@@ -133,27 +266,61 @@ class MemoryHierarchy:
             self.l2.reset()
         self.element_accesses = 0
 
-    def access(self, addrs: np.ndarray, *, already_lines: bool = False) -> float:
-        """Run a batch of byte addresses through the hierarchy.
+    def access(self, streams: Iterable[np.ndarray]
+               ) -> list[tuple[float, int, int, int]]:
+        """Run address streams through the hierarchy, in order.
 
-        Returns the stall penalty in cycles.  ``already_lines`` skips the
-        address->line conversion for callers that generate line streams
-        directly.
+        Each stream (byte addresses) is collapsed to consecutive-distinct
+        cache lines as it arrives and its addresses are dropped.  L1
+        decides the lines in batches as they accumulate; L2 decides L1's
+        misses, in order, in its own batches, lagging behind L1.
+
+        Returns one ``(penalty, l1_misses, l2_misses, elements)`` per
+        stream.  ``penalty`` is the stream's stall cycles, computed as
+        ``l1_misses * l1.miss_penalty``, plus ``l2_misses *
+        l2.miss_penalty`` when the stream missed L1.
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        self.element_accesses += int(addrs.size)
-        if not self.enabled or addrs.size == 0:
-            return 0.0
-        if already_lines:
-            lines = dedup_consecutive(addrs)
+        line_bytes = self.params.l1.line_bytes
+        elements: list[int] = []
+        sizes: list[int] = []
+        l1_miss: list[np.ndarray] = []
+        l2_miss: list[np.ndarray] = []
+
+        def lines():
+            for addrs in streams:
+                addrs = np.asarray(addrs, dtype=np.int64)
+                elements.append(int(addrs.size))
+                if self.enabled:
+                    out = dedup_consecutive(addresses_to_lines(addrs, line_bytes))
+                    del addrs  # not held while the caches run
+                    sizes.append(out.size)
+                    yield out
+
+        def l1_missed():
+            for batch in _batches(lines()):
+                miss = self.l1.access_lines(batch)
+                l1_miss.append(miss)
+                yield batch[miss]
+
+        if self.l2 is None:
+            for _ in l1_missed():
+                pass
         else:
-            lines = dedup_consecutive(addresses_to_lines(addrs, self.params.l1.line_bytes))
-        l1_missed = self.l1.access_lines(lines)
-        penalty = l1_missed.size * self.params.l1.miss_penalty
-        if self.l2 is not None and l1_missed.size:
-            l2_missed = self.l2.access_lines(l1_missed)
-            penalty += l2_missed.size * self.params.l2.miss_penalty
-        return penalty
+            for batch in _batches(l1_missed()):
+                l2_miss.append(self.l2.access_lines(batch))
+        self.element_accesses += sum(elements)
+        if not self.enabled:
+            return [(0.0, 0, 0, n) for n in elements]
+
+        bounds = _misses_before(l1_miss, np.cumsum([0, *sizes]))
+        l1_misses = np.diff(bounds)
+        penalty = l1_misses * self.params.l1.miss_penalty
+        l2_misses = np.zeros_like(l1_misses)
+        if self.l2 is not None:
+            l2_misses = np.diff(_misses_before(l2_miss, bounds))
+            penalty += l2_misses * self.params.l2.miss_penalty
+        return list(zip(penalty.tolist(), l1_misses.tolist(),
+                        l2_misses.tolist(), elements))
 
     def check_invariants(self) -> list[str]:
         """Hierarchy-wide accounting invariants (empty when healthy):
@@ -173,11 +340,3 @@ class MemoryHierarchy:
                 f"L1 accesses ({self.l1.accesses}) exceed element accesses "
                 f"({self.element_accesses})")
         return out
-
-    @property
-    def l1_misses(self) -> int:
-        return self.l1.misses
-
-    @property
-    def l2_misses(self) -> int:
-        return self.l2.misses if self.l2 is not None else 0

@@ -14,6 +14,16 @@ Two performance properties of the implementation matter:
 * cache behaviour, which is *not* homogeneous across iterations, is
   simulated from the real address streams evaluated in NumPy batches.
 
+A kernel runs in two passes.  First every access stream of the kernel,
+in block order, goes to the memory hierarchy in one call, which decides
+them all at once (one call per kernel instead of one per stream is what
+lets the vectorized cache amortize its per-call cost).  Then the blocks
+are accounted in order, each charging its base cycles and then its
+streams' stall penalties.  The cache sees the same lines in the same
+order as a walk that accessed it block by block, and every float sum is
+formed from the same terms in the same order, so the counters are
+identical to that walk's.
+
 Vector length selection follows the RVV vector-length-agnostic model:
 the program asks for the remaining trip count and the machine grants at
 most its ``vl_max``, so one compiled program runs unmodified on machines
@@ -23,7 +33,7 @@ with 256-element vectors (RISC-V VEC, SX-Aurora) and 8-element vectors
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,7 +44,6 @@ from repro.machine.vpu import VPUModel
 from repro.metrics.counters import PhaseCounters, RunCounters
 from repro.compiler.program import (
     AccessDesc,
-    Block,
     CompiledKernel,
     KernelInstance,
     ScalarBlock,
@@ -93,27 +102,47 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    def _access_penalty(self, desc: AccessDesc, env_vars: tuple[str, ...],
-                        env_extents: tuple[int, ...], instance: KernelInstance,
-                        counters: PhaseCounters) -> float:
-        """Feed one access descriptor's address stream to the caches."""
+    @staticmethod
+    def _addresses(desc: AccessDesc, env_vars: tuple[str, ...],
+                   env_extents: tuple[int, ...],
+                   instance: KernelInstance) -> np.ndarray:
+        """The byte addresses one access descriptor touches, in order."""
         env = loop_grid(env_vars, env_extents)
         addrs = np.broadcast_to(
             byte_addresses(desc.ref, env, instance), env_extents or (1,)
         ).reshape(-1)
         if desc.weight < 1.0:
             addrs = addrs[: int(round(addrs.size * desc.weight))]
-        l1_before = self.mem.l1_misses
-        l2_before = self.mem.l2_misses
-        penalty = self.mem.access(addrs)
-        counters.l1_misses += self.mem.l1_misses - l1_before
-        counters.l2_misses += self.mem.l2_misses - l2_before
-        counters.mem_element_accesses += addrs.size
+        return addrs
+
+    def _streams(self, compiled: CompiledKernel, instance: KernelInstance):
+        """Every access stream of *compiled*, in execution order.  Nothing
+        here holds a stream once it is yielded, so each one is freed as
+        soon as the caches have collapsed it to lines."""
+        for block in compiled.blocks:
+            if isinstance(block, VectorBlock):
+                env_vars = block.loop_vars + (block.vec_var,)
+                env_extents = block.loop_extents + (block.total_trip,)
+                descs = [i.access for i in block.instrs if i.access is not None]
+            else:
+                env_vars, env_extents = block.loop_vars, block.loop_extents
+                descs = block.accesses
+            for desc in descs:
+                yield self._addresses(desc, env_vars, env_extents, instance)
+
+    @staticmethod
+    def _charge(stream: tuple[float, int, int, int],
+                counters: PhaseCounters) -> float:
+        """Count one stream's misses and elements; return its penalty."""
+        penalty, l1_misses, l2_misses, elements = stream
+        counters.l1_misses += l1_misses
+        counters.l2_misses += l2_misses
+        counters.mem_element_accesses += elements
         return penalty
 
     # ------------------------------------------------------------------
 
-    def _exec_scalar_block(self, block: ScalarBlock, instance: KernelInstance,
+    def _exec_scalar_block(self, block: ScalarBlock, streams: Iterator,
                            counters: PhaseCounters) -> None:
         trips = block.trips
         cycles_per_iter = 0.0
@@ -125,15 +154,14 @@ class Machine:
             if op in (ScalarOp.LOAD, ScalarOp.STORE):
                 mem_instr_per_iter += n
         cycles = trips * cycles_per_iter
-        for desc in block.accesses:
-            cycles += self._access_penalty(
-                desc, block.loop_vars, block.loop_extents, instance, counters)
+        for _ in block.accesses:
+            cycles += self._charge(next(streams), counters)
         counters.cycles_total += cycles
         counters.instr_scalar += trips * instr_per_iter
         counters.instr_scalar_mem += trips * mem_instr_per_iter
         counters.flops += trips * block.flops_per_iter
 
-    def _exec_vector_block(self, block: VectorBlock, instance: KernelInstance,
+    def _exec_vector_block(self, block: VectorBlock, streams: Iterator,
                            counters: PhaseCounters) -> None:
         if self.vpu is None:
             raise RuntimeError(
@@ -194,16 +222,13 @@ class Machine:
         counters.vl_sum += repeats * vl_sum
         counters.flops += repeats * flops
 
-        # Cache simulation over the full (repeats x trip) address stream.
+        # Stalls of the full (repeats x trip) address streams.
         vl_avg = block.total_trip / n_strips
         exposure = self.params.vpu.miss_exposure(vl_avg)
-        env_vars = block.loop_vars + (block.vec_var,)
-        env_extents = block.loop_extents + (block.total_trip,)
         for desc in block.instrs:
             if desc.access is None:
                 continue
-            penalty = self._access_penalty(
-                desc.access, env_vars, env_extents, instance, counters)
+            penalty = self._charge(next(streams), counters)
             counters.cycles_total += penalty * exposure
             counters.cycles_vector += penalty * exposure
 
@@ -211,17 +236,19 @@ class Machine:
 
     def execute_kernel(self, compiled: CompiledKernel, instance: KernelInstance,
                        run: RunCounters) -> None:
-        """Execute one compiled kernel over one instance (chunk)."""
+        """Execute one compiled kernel over one instance (chunk): all its
+        streams through the caches first, then the blocks in order."""
         counters = run.phase(compiled.phase)
+        streams = iter(self.mem.access(self._streams(compiled, instance)))
         kernel_t0 = self.clock
         for block in compiled.blocks:
             t0 = self.clock
             before = counters.cycles_total
             if isinstance(block, VectorBlock):
-                self._exec_vector_block(block, instance, counters)
+                self._exec_vector_block(block, streams, counters)
                 kind = "vector"
             else:
-                self._exec_scalar_block(block, instance, counters)
+                self._exec_scalar_block(block, streams, counters)
                 kind = "scalar"
             delta = counters.cycles_total - before
             self.clock += delta

@@ -30,6 +30,13 @@ class CacheParams:
                 f"{self.name}: size {self.size_bytes} not divisible by "
                 f"line_bytes*assoc = {self.line_bytes * self.assoc}"
             )
+        # the simulator takes an address's line and set from its bits, as
+        # hardware does.
+        for what, value in (("line size", self.line_bytes),
+                            ("set count", self.n_sets)):
+            if value & (value - 1):
+                raise ValueError(
+                    f"{self.name}: {what} {value} is not a power of two")
 
     @property
     def n_sets(self) -> int:

@@ -21,6 +21,8 @@ def make_cache(size=1024, line=64, assoc=2, penalty=10.0) -> Cache:
 def test_addresses_to_lines():
     addrs = np.array([0, 63, 64, 127, 128])
     np.testing.assert_array_equal(addresses_to_lines(addrs, 64), [0, 0, 1, 1, 2])
+    with pytest.raises(ValueError):
+        addresses_to_lines(addrs, 48)
 
 
 def test_dedup_consecutive():
@@ -32,12 +34,9 @@ def test_dedup_consecutive():
 
 def test_cold_misses_then_hits():
     c = make_cache()
-    missed = c.access_lines(np.array([0, 1, 2]))
-    assert missed.tolist() == [0, 1, 2]
-    missed = c.access_lines(np.array([0, 1, 2]))
-    assert missed.size == 0
+    assert c.access_lines(np.array([0, 1, 2])).tolist() == [True] * 3
+    assert not c.access_lines(np.array([0, 1, 2])).any()
     assert c.accesses == 6 and c.misses == 3
-    assert c.miss_rate == pytest.approx(0.5)
 
 
 def test_lru_eviction_order():
@@ -45,10 +44,9 @@ def test_lru_eviction_order():
     c = make_cache()
     c.access_lines(np.array([0, 8]))       # set 0 holds {0, 8}
     c.access_lines(np.array([0]))          # touch 0 -> LRU is 8
-    missed = c.access_lines(np.array([16]))  # evicts 8
-    assert missed.tolist() == [16]
-    assert c.access_lines(np.array([0])).size == 0      # 0 still resident
-    assert c.access_lines(np.array([8])).tolist() == [8]  # 8 was evicted
+    assert c.access_lines(np.array([16])).tolist() == [True]  # evicts 8
+    assert c.access_lines(np.array([0])).tolist() == [False]  # 0 resident
+    assert c.access_lines(np.array([8])).tolist() == [True]  # 8 evicted
 
 
 def test_reset():
@@ -56,7 +54,7 @@ def test_reset():
     c.access_lines(np.array([1, 2, 3]))
     c.reset()
     assert c.accesses == 0 and c.misses == 0
-    assert c.access_lines(np.array([1])).tolist() == [1]
+    assert c.access_lines(np.array([1])).tolist() == [True]
 
 
 def test_hierarchy_penalties_and_counts():
@@ -65,12 +63,12 @@ def test_hierarchy_penalties_and_counts():
         l2=CacheParams("L2", 4096, line_bytes=64, assoc=4, miss_penalty=100.0),
     )
     h = MemoryHierarchy(params)
-    # 4 distinct lines, all cold: 4 L1 misses + 4 L2 misses.
-    penalty = h.access(np.arange(4) * 64)
-    assert penalty == pytest.approx(4 * 10.0 + 4 * 100.0)
-    assert h.l1_misses == 4 and h.l2_misses == 4
+    # 4 distinct lines, all cold: 4 L1 misses + 4 L2 misses; then the
     # same lines again: all L1 hits.
-    assert h.access(np.arange(4) * 64) == 0.0
+    cold, warm = h.access([np.arange(4) * 64, np.arange(4) * 64])
+    assert cold == (4 * 10.0 + 4 * 100.0, 4, 4, 4)
+    assert warm == (0.0, 0, 0, 4)
+    assert h.l1.misses == 4 and h.l2.misses == 4
     assert h.element_accesses == 8
 
 
@@ -81,23 +79,27 @@ def test_hierarchy_l2_catches_l1_evictions():
     )
     h = MemoryHierarchy(params)
     # L1 is 2 lines direct-mapped; walk 8 lines twice.
-    h.access(np.arange(8) * 64)
-    penalty = h.access(np.arange(8) * 64)
+    h.access([np.arange(8) * 64])
+    [(penalty, l1_misses, l2_misses, _)] = h.access([np.arange(8) * 64])
     # second pass: all L1 misses (capacity) but all L2 hits.
-    assert penalty == pytest.approx(8 * 10.0)
+    assert (penalty, l1_misses, l2_misses) == (8 * 10.0, 8, 0)
 
 
 def test_hierarchy_disabled_costs_nothing():
     params = MemoryParams(l1=CacheParams("L1", 512, assoc=2))
     h = MemoryHierarchy(params, enabled=False)
-    assert h.access(np.arange(100) * 64) == 0.0
-    assert h.l1_misses == 0
+    assert h.access([np.arange(100) * 64]) == [(0.0, 0, 0, 100)]
+    assert h.l1.accesses == 0 and h.l1.misses == 0
     assert h.element_accesses == 100
 
 
 def test_cache_params_validation():
     with pytest.raises(ValueError):
         CacheParams("bad", size_bytes=1000, line_bytes=64, assoc=3)
+    with pytest.raises(ValueError, match="set count 3 is not a power of two"):
+        CacheParams("bad", size_bytes=3 * 64 * 4, line_bytes=64, assoc=4)
+    with pytest.raises(ValueError, match="line size 48 is not a power"):
+        CacheParams("bad", size_bytes=48 * 4 * 4, line_bytes=48, assoc=4)
     assert CacheParams("ok", 1024, line_bytes=64, assoc=4).n_sets == 4
 
 

@@ -1,19 +1,31 @@
-"""Cross-validation of the cache simulator against an independent,
-obviously-correct reference implementation.
+"""Cross-validation of the cache simulator against independent,
+obviously-correct reference implementations.
 
-The production cache (`repro.machine.cache.Cache`) is optimized for
-throughput (per-set lists, consecutive dedup); this oracle is written
-for clarity (OrderedDict-based LRU per set) and the two must agree on
-miss counts and miss *positions* for arbitrary access streams.
+The production cache (`repro.machine.cache.Cache`) decides a whole batch
+of accesses at once from LRU stack distances; two oracles decide one
+line at a time: a textbook OrderedDict LRU, and the per-line list loop
+the simulator used before it was vectorized (kept here verbatim).  They
+must agree on miss counts and miss *positions* for arbitrary access
+streams, with state carried across calls and across the simulator's
+internal batches.
 """
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.cache import Cache
-from repro.machine.params import CacheParams
+from repro.machine import cache as cache_mod
+from repro.machine.cache import (
+    Cache,
+    MemoryHierarchy,
+    addresses_to_lines,
+    dedup_consecutive,
+)
+from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
+from repro.machine.params import CacheParams, MemoryParams
 
 
 class OracleLRU:
@@ -36,9 +48,53 @@ class OracleLRU:
         return True
 
 
+class ListLRU:
+    """The simulator's former per-line LRU loop: a Python list per set,
+    ``in`` / ``remove`` / ``append`` per line."""
+
+    def __init__(self, params: CacheParams):
+        self.params = params
+        self._n_sets = params.n_sets
+        self._assoc = params.assoc
+        self._sets: list[list[int]] = [[] for _ in range(self._n_sets)]
+        self.accesses = 0
+        self.misses = 0
+
+    def access_lines(self, lines: np.ndarray) -> np.ndarray:
+        """Access a stream of line indices; return the missed lines.
+
+        The returned array preserves stream order so it can be fed to the
+        next level directly.
+        """
+        n_sets = self._n_sets
+        assoc = self._assoc
+        sets = self._sets
+        missed: list[int] = []
+        append = missed.append
+        for line in lines.tolist():
+            ways = sets[line % n_sets]
+            if line in ways:
+                if ways[-1] != line:  # move to MRU position
+                    ways.remove(line)
+                    ways.append(line)
+            else:
+                append(line)
+                ways.append(line)
+                if len(ways) > assoc:
+                    del ways[0]
+        self.accesses += int(lines.size)
+        self.misses += len(missed)
+        return np.asarray(missed, dtype=np.int64)
+
+
 def reference_misses(lines, n_sets, assoc):
     oracle = OracleLRU(n_sets, assoc)
     return [line for line in lines if oracle.access(line)]
+
+
+def cache_params(n_sets: int, assoc: int) -> CacheParams:
+    return CacheParams("t", size_bytes=64 * assoc * n_sets, line_bytes=64,
+                       assoc=assoc)
 
 
 @settings(deadline=None, max_examples=100)
@@ -49,14 +105,59 @@ def reference_misses(lines, n_sets, assoc):
 )
 def test_cache_matches_oracle(lines, assoc, n_sets_pow):
     n_sets = 2 ** n_sets_pow
-    params = CacheParams("t", size_bytes=64 * assoc * n_sets,
-                         line_bytes=64, assoc=assoc)
-    cache = Cache(params)
-    got = cache.access_lines(np.asarray(lines, dtype=np.int64)).tolist()
+    cache = Cache(cache_params(n_sets, assoc))
+    arr = np.asarray(lines, dtype=np.int64)
+    got = arr[cache.access_lines(arr)].tolist()
     expected = reference_misses(lines, n_sets, assoc)
     assert got == expected
     assert cache.misses == len(expected)
     assert cache.accesses == len(lines)
+
+
+@st.composite
+def call_sequences(draw):
+    """A cache shape plus several calls' line streams.  Lines come from a
+    few sets (so even a 2048-set cache sees conflicts), each set offering
+    from a fraction of its ways to many times more distinct lines."""
+    assoc = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    n_sets = 2 ** draw(st.integers(0, 11))
+    sets = draw(st.lists(st.integers(0, n_sets - 1), min_size=1,
+                         max_size=4))
+    per_set = draw(st.sampled_from(
+        sorted({max(1, assoc // 2), assoc, assoc + 1, 2 * assoc,
+                8 * assoc})))
+    tags = draw(st.lists(st.integers(0, 1 << 24), min_size=per_set,
+                         max_size=per_set, unique=True))
+    pool = [t * n_sets + s for s in sets for t in tags]
+    calls = draw(st.lists(st.lists(st.sampled_from(pool), max_size=300),
+                          min_size=1, max_size=4))
+    return n_sets, assoc, calls
+
+
+def assert_matches_list_oracle(n_sets, assoc, calls):
+    params = cache_params(n_sets, assoc)
+    cache, oracle = Cache(params), ListLRU(params)
+    for call in calls:
+        arr = np.asarray(call, dtype=np.int64)
+        got = arr[cache.access_lines(arr)]
+        np.testing.assert_array_equal(got, oracle.access_lines(arr))
+        assert (cache.accesses, cache.misses) == (oracle.accesses,
+                                                  oracle.misses)
+
+
+@settings(deadline=None, max_examples=150)
+@given(call_sequences())
+def test_cache_matches_list_oracle_across_calls(case):
+    assert_matches_list_oracle(*case)
+
+
+@settings(deadline=None, max_examples=60)
+@given(call_sequences())
+def test_cache_matches_list_oracle_across_internal_batches(case):
+    """The same, with batches of 7 lines, so resident state crosses many
+    batch boundaries inside one call."""
+    with mock.patch.object(cache_mod, "BATCH_LINES", 7):
+        assert_matches_list_oracle(*case)
 
 
 @settings(deadline=None, max_examples=30)
@@ -74,3 +175,107 @@ def test_split_streams_equal_one_stream(a, b):
     two.access_lines(np.asarray(a, dtype=np.int64))
     two.access_lines(np.asarray(b, dtype=np.int64))
     assert one.misses == two.misses
+
+
+# -- the hierarchy against two oracle levels fed one stream at a time ------
+
+
+class OracleHierarchy:
+    """Two list-LRU levels behind the simulator's former per-stream
+    ``MemoryHierarchy.access``: one call per stream."""
+
+    def __init__(self, params: MemoryParams, enabled: bool = True):
+        self.params = params
+        self.enabled = enabled
+        self.l1 = ListLRU(params.l1)
+        self.l2 = ListLRU(params.l2) if params.l2 is not None else None
+        self.element_accesses = 0
+
+    def access(self, addrs: np.ndarray) -> tuple[float, int, int]:
+        addrs = np.asarray(addrs, dtype=np.int64)
+        self.element_accesses += int(addrs.size)
+        if not self.enabled or addrs.size == 0:
+            return 0.0, 0, 0
+        lines = dedup_consecutive(
+            addresses_to_lines(addrs, self.params.l1.line_bytes))
+        l1_missed = self.l1.access_lines(lines)
+        penalty = l1_missed.size * self.params.l1.miss_penalty
+        n2 = 0
+        if self.l2 is not None and l1_missed.size:
+            n2 = self.l2.access_lines(l1_missed).size
+            penalty += n2 * self.params.l2.miss_penalty
+        return penalty, int(l1_missed.size), n2
+
+
+def assert_hierarchy_matches(params, calls, enabled=True):
+    """*calls*: a list of kernels, each a list of address streams."""
+    hier = MemoryHierarchy(params, enabled=enabled)
+    oracle = OracleHierarchy(params, enabled=enabled)
+    for streams in calls:
+        got = hier.access(iter(streams))
+        want = [(*oracle.access(s), len(s)) for s in streams]
+        # exact: the penalties must be the same doubles, not close ones.
+        assert got == want
+        assert hier.element_accesses == oracle.element_accesses
+        assert (hier.l1.accesses, hier.l1.misses) == (oracle.l1.accesses,
+                                                      oracle.l1.misses)
+        if params.l2 is not None:
+            assert (hier.l2.accesses, hier.l2.misses) == (
+                oracle.l2.accesses, oracle.l2.misses)
+        assert hier.check_invariants() == []
+
+
+TINY = MemoryParams(
+    l1=CacheParams("L1", 512, line_bytes=64, assoc=2, miss_penalty=10.0),
+    l2=CacheParams("L2", 4096, line_bytes=64, assoc=4, miss_penalty=37.5),
+)
+TINY_L1_ONLY = MemoryParams(l1=TINY.l1)
+HIERARCHIES = [TINY, TINY_L1_ONLY, RISCV_VEC.memory, MN4_AVX512.memory,
+               SX_AURORA.memory]
+
+
+@st.composite
+def address_streams(draw):
+    """Kernels of address streams: strided runs over a few arrays, like
+    the code generator's, plus empty streams."""
+    bases = [0, 3 << 12, 5 << 16, 7 << 20]
+    run = st.tuples(st.sampled_from(bases), st.integers(0, 1 << 14),
+                    st.sampled_from([8, 16, 64, 256, 4096, 65536]),
+                    st.integers(0, 400))
+
+    def stream(runs):
+        parts = [base + 8 * (off // 8) + stride * np.arange(n, dtype=np.int64)
+                 for base, off, stride, n in runs]
+        return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+
+    streams = st.lists(st.lists(run, max_size=3).map(stream), max_size=6)
+    return draw(st.lists(streams, min_size=1, max_size=3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(params=st.sampled_from(HIERARCHIES), calls=address_streams())
+def test_hierarchy_matches_oracle_levels(params, calls):
+    assert_hierarchy_matches(params, calls)
+
+
+@settings(deadline=None, max_examples=20)
+@given(params=st.sampled_from(HIERARCHIES), calls=address_streams())
+def test_disabled_hierarchy_matches_oracle(params, calls):
+    assert_hierarchy_matches(params, calls, enabled=False)
+
+
+@pytest.mark.parametrize("params", HIERARCHIES[:3],
+                         ids=["tiny", "tiny-l1-only", "riscv_vec"])
+def test_hierarchy_matches_oracle_beyond_one_batch(params):
+    """Streams of more lines than one internal batch, and an empty one
+    between them: L1 and L2 state cross batch boundaries mid-stream."""
+    rng = np.random.default_rng(7)
+    span = 8 * params.l1.size_bytes
+    n = cache_mod.BATCH_LINES + 5000
+    streams = [
+        rng.integers(0, span, size=n) & ~63,
+        np.zeros(0, dtype=np.int64),
+        (np.arange(2 * n, dtype=np.int64) * 64) % span,
+        rng.integers(0, 4 * span, size=n // 3),
+    ]
+    assert_hierarchy_matches(params, [streams[:2], streams[2:]])
