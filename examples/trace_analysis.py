@@ -12,7 +12,7 @@ Run:  python examples/trace_analysis.py
 import tempfile
 from pathlib import Path
 
-from repro import MiniApp, box_mesh
+from repro import MiniApp, box_mesh, obs
 from repro.experiments import report
 from repro.machine import Machine, RISCV_VEC
 from repro.trace import Tracer, paraver, phase_stats, timeline
@@ -21,7 +21,8 @@ from repro.trace import Tracer, paraver, phase_stats, timeline
 def main() -> None:
     app = MiniApp(box_mesh(6, 6, 6), vector_size=216, opt="vec1")
     tracer = Tracer()
-    machine = Machine(RISCV_VEC, tracer=tracer)
+    with obs.use(tracer):  # the machine picks up the ambient tracer
+        machine = Machine(RISCV_VEC)
     run = app.run_timed(RISCV_VEC, machine=machine)
 
     print(f"collected {len(tracer.blocks)} block events and "

@@ -13,9 +13,9 @@
 * ``run_numeric()`` executes the NumPy reference semantics, producing
   the assembled global RHS and CSR matrix (the input to the algebraic
   solver substrate);
-* ``run_interpreted()`` executes the IR through the reference
-  interpreter -- slow, used by the tests to pin IR semantics to the
-  NumPy reference on small meshes;
+* ``run_interpreted()`` executes the IR through the ``interpreter``
+  backend -- slow, used by the tests to pin IR semantics to the NumPy
+  reference on small meshes;
 * ``build_solver()`` / ``solve()`` / ``run_timed_solve()`` extend the
   cycle to the algebraic solver: the assembled operator (with the
   semi-implicit diagonal shift) is lowered to the IR solver kernels
@@ -36,12 +36,11 @@ import numpy as np
 
 from repro.cfd.csr import CSRPattern, build_pattern
 from repro.cfd.fields import make_global_fields
-from repro.cfd.kernel_context import MiniAppContext
+from repro.cfd.kernel_context import MiniAppContext, run_chunked
 from repro.cfd.mesh import Mesh
 from repro.cfd.phases import build_baseline_kernels
 from repro.cfd.reference import run_reference_chunk
 from repro.compiler.flags import PAPER_FLAGS, SCALAR_FLAGS, CompilerFlags
-from repro.compiler.interpreter import Interpreter
 from repro.compiler.program import CompiledKernel, compile_kernels
 from repro.compiler.transforms import (
     PassPipeline,
@@ -129,6 +128,15 @@ class MiniApp:
         data.update(self.context.basis_data())
         return data
 
+    def assembly_data(self) -> dict[str, np.ndarray]:
+        """Fresh global data for one semantic assembly sweep: the float
+        fields of :meth:`global_float_data`, the integer gather tables
+        and ``elpos``."""
+        ctx = self.context
+        return {**self.global_float_data(), "lnods": ctx.lnods,
+                "ltype": ctx.ltype, "lmate": ctx.lmate,
+                "kfl_sgs": ctx.kfl_sgs, "elpos": self.elpos}
+
     # ------------------------------------------------------------------
 
     def run_timed(self, machine_params: MachineParams, *,
@@ -161,51 +169,28 @@ class MiniApp:
         updated ``unkno`` between time steps of a driver loop); shapes
         must match the defaults from :meth:`global_float_data`.
         """
-        gdata = self.global_float_data()
-        if field_overrides:
-            for name, arr in field_overrides.items():
-                if name not in gdata:
-                    raise KeyError(f"unknown global field {name!r}")
-                if gdata[name].shape != arr.shape:
-                    raise ValueError(
-                        f"{name}: shape {arr.shape} != {gdata[name].shape}")
-                gdata[name] = np.asarray(arr, dtype=np.float64)
-        # chunk-local scratch arrays, shared across chunks like Fortran's.
-        local = {
-            name: np.zeros(arr.shape)
-            for name, arr in self.context.arrays.items()
-            if arr.scope == "local"
-        }
-        data: dict[str, np.ndarray] = {
-            **gdata,
-            "lnods": self.context.lnods,
-            "ltype": self.context.ltype,
-            "lmate": self.context.lmate,
-            "kfl_sgs": self.context.kfl_sgs,
-            "elpos": self.elpos,
-            **local,
-        }
+        data = self.assembly_data()
+        for name, arr in (field_overrides or {}).items():
+            if name not in data or data[name].dtype != np.float64:
+                raise KeyError(f"unknown global field {name!r}")
+            if data[name].shape != arr.shape:
+                raise ValueError(
+                    f"{name}: shape {arr.shape} != {data[name].shape}")
+            data[name] = np.asarray(arr, dtype=np.float64)
+        data.update(self.context.scratch_data())
         for chunk in self.chunks:
             run_reference_chunk(data, self.context.params, chunk.elements)
         return AssembledSystem(pattern=self.pattern, amatr=data["amatr"],
                                rhsid=data["rhsid"])
 
     def run_interpreted(self) -> AssembledSystem:
-        """Assemble the system by interpreting the IR kernels (slow)."""
-        gdata = self.global_float_data()
-        globals_data = {**gdata, "elpos": self.elpos}
-        shared = None
-        for chunk in self.chunks:
-            inst = self.context.instance_for_chunk(
-                chunk, with_data=True, globals_data=globals_data)
-            interp = Interpreter(inst, self.context.params)
-            for kern in self.kernels:
-                interp.run(kern)
-            shared = inst
-        assert shared is not None
-        return AssembledSystem(pattern=self.pattern,
-                               amatr=shared.data("amatr"),
-                               rhsid=shared.data("rhsid"))
+        """Assemble the system by running the IR kernels through the
+        ``interpreter`` backend (slow)."""
+        data = self.assembly_data()
+        for _ in run_chunked(self.context, self.kernels, data, "interpreter"):
+            pass
+        return AssembledSystem(pattern=self.pattern, amatr=data["amatr"],
+                               rhsid=data["rhsid"])
 
     # -- the solver path -----------------------------------------------
 

@@ -17,21 +17,51 @@ A :class:`MiniAppContext` owns the shared
 :class:`~repro.compiler.program.KernelInstance` per chunk: same arrays,
 same addresses, different chunk-base index constant and (for the
 interpreter/reference paths) different gather data.
+
+:func:`run_chunked` is the one semantic chunk loop of phases 1-12: the
+golden checks, the digest rungs and ``MiniApp.run_interpreted`` all
+execute kernels through it, on this context or on the solver's
+:class:`~repro.cfd.solver_phases.SolverContext`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.backends import get_backend
 from repro.cfd.elements import NDIME, NDOFN, NGAUS, PNODE, hex08_basis
-from repro.cfd.mesh import Chunk, Mesh
-from repro.compiler.ir import Array
+from repro.cfd.mesh import Chunk, Mesh, chunk_range
+from repro.compiler.ir import Array, Kernel
 from repro.compiler.program import KernelInstance, MemoryLayout
 
 #: the Affine index-constant name carrying the chunk's first element id.
 CHUNK_BASE = "__chunk0__"
+
+
+def run_chunked(context, kernels: Sequence[Kernel],
+                data: dict[str, np.ndarray], backend: str
+                ) -> Iterator[tuple[Chunk, KernelInstance, int]]:
+    """Run *kernels* over every chunk of *context* on a *backend*.
+
+    Each chunk gets an instance with *data* bound by reference (so
+    scatter-accumulates and vector updates persist across chunks) and
+    fresh zeroed chunk-local arrays, then one backend executor, then
+    each kernel in order.  Yields ``(chunk, instance, phase)`` after
+    every kernel: where the golden checks compare and the digest rungs
+    hash.  *context* is a :class:`MiniAppContext` or a
+    :class:`~repro.cfd.solver_phases.SolverContext`.
+    """
+    be = get_backend(backend)
+    for chunk in context.chunks():
+        inst = context.instance_for_chunk(chunk, with_data=True,
+                                          globals_data=data)
+        executor = be.executor(inst, context.params)
+        for kern in kernels:
+            executor.run(kern)
+            yield chunk, inst, kern.phase
 
 
 @dataclass(frozen=True)
@@ -173,14 +203,7 @@ class MiniAppContext:
 
     def chunks(self) -> list[Chunk]:
         """Contiguous VECTOR_SIZE chunks over the padded element range."""
-        out = []
-        vs = self.vector_size
-        for ci in range(self.padded_nelem // vs):
-            start = ci * vs
-            ids = np.arange(start, start + vs, dtype=np.int64)
-            n_real = max(0, min(vs, self.mesh.nelem - start))
-            out.append(Chunk(index=ci, elements=ids, n_real=n_real))
-        return out
+        return chunk_range(self.mesh.nelem, self.vector_size)
 
     def instance_for_chunk(self, chunk: Chunk, *, with_data: bool = False,
                            globals_data: dict[str, np.ndarray] | None = None
@@ -228,3 +251,9 @@ class MiniAppContext:
         """Shape-function tables as global data arrays."""
         basis = hex08_basis()
         return {"shapf": basis.shapf, "deriv": basis.deriv, "weigp": basis.weigp}
+
+    def scratch_data(self) -> dict[str, np.ndarray]:
+        """Fresh zeroed chunk-local working arrays for the NumPy reference
+        (shared across chunks like Fortran's)."""
+        return {name: np.zeros(arr.shape) for name, arr in self.arrays.items()
+                if arr.scope == "local"}

@@ -9,9 +9,10 @@ Optional node renumbering randomizes node ids to emulate the indirection
 patterns of a genuinely unstructured mesh (scattered gather addresses).
 
 The mesh is processed in *chunks* of ``VECTOR_SIZE`` elements -- the
-compile-time packing parameter at the heart of the paper's study.  A
-trailing partial chunk is padded by repeating the last element, as Alya
-does, so kernels always see full chunks.
+compile-time packing parameter at the heart of the paper's study.
+:func:`chunk_range` is the one chunker (mesh elements and solver matrix
+rows alike): a trailing partial chunk runs on into the padded ids past
+the last real one, so kernels always see full chunks.
 """
 
 from __future__ import annotations
@@ -36,6 +37,19 @@ class Chunk:
     @property
     def size(self) -> int:
         return int(self.elements.size)
+
+
+def chunk_range(n: int, vector_size: int) -> list[Chunk]:
+    """Contiguous VECTOR_SIZE chunks over ids ``0 .. n-1``, rounded up to
+    whole chunks: the tail chunk's padding is the ids ``n, n+1, ...`` of
+    the padded arrays it indexes."""
+    out = []
+    for ci in range(-(-n // vector_size)):
+        start = ci * vector_size
+        ids = np.arange(start, start + vector_size, dtype=np.int64)
+        out.append(Chunk(index=ci, elements=ids,
+                         n_real=min(vector_size, n - start)))
+    return out
 
 
 @dataclass
@@ -73,21 +87,6 @@ class Mesh:
     @property
     def nmate(self) -> int:
         return int(self.lmate.max()) + 1 if self.nelem else 0
-
-    def chunks(self, vector_size: int) -> list[Chunk]:
-        """Split the element range into VECTOR_SIZE packs (tail padded)."""
-        if vector_size <= 0:
-            raise ValueError("vector_size must be positive")
-        out: list[Chunk] = []
-        for ci, start in enumerate(range(0, self.nelem, vector_size)):
-            stop = min(start + vector_size, self.nelem)
-            ids = np.arange(start, stop, dtype=np.int64)
-            n_real = ids.size
-            if n_real < vector_size:
-                pad = np.full(vector_size - n_real, ids[-1], dtype=np.int64)
-                ids = np.concatenate([ids, pad])
-            out.append(Chunk(index=ci, elements=ids, n_real=n_real))
-        return out
 
     def element_volume_total(self) -> float:
         """Total mesh volume via the midpoint Jacobian (sanity metric)."""

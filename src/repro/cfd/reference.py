@@ -10,7 +10,9 @@ and VEC1 are pure performance transformations.
 
 All functions mutate the ``data`` mapping in place (array name ->
 ndarray), using the chunk's element ids ``elems`` to index the padded
-global mesh arrays.
+global mesh arrays.  :data:`REF_PHASES` and :data:`PHASE_OUTPUTS` are
+the one phase registry of phases 1-12: these eight plus the solver
+phases of :mod:`repro.cfd.solver_phases`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Mapping, MutableMapping
 import numpy as np
 
 from repro.cfd.elements import HEX08, NDIME, NGAUS
+from repro.cfd.solver_phases import SOLVER_PHASE_OUTPUTS, SOLVER_REF_PHASES
 
 Data = MutableMapping[str, np.ndarray]
 
@@ -162,17 +165,19 @@ def ref_phase8(d: Data, params: Mapping[str, float], elems: np.ndarray) -> None:
     np.add.at(d["amatr"], pos.ravel(), d["elauu"][valid].ravel())
 
 
-#: reference implementations in phase order.
-REF_PHASES = (
-    ref_phase1, ref_phase2, ref_phase3, ref_phase4,
-    ref_phase5, ref_phase6, ref_phase7, ref_phase8,
-)
+#: reference implementations keyed by phase id, 1-12.
+REF_PHASES = {
+    1: ref_phase1, 2: ref_phase2, 3: ref_phase3, 4: ref_phase4,
+    5: ref_phase5, 6: ref_phase6, 7: ref_phase7, 8: ref_phase8,
+    **SOLVER_REF_PHASES,
+}
 
-#: stable output arrays of each phase, used by the golden-reference
-#: validator (:mod:`repro.validation.golden`) for its per-phase
-#: cross-check.  Pure per-Gauss-point scratch (``xjacm``, ``xjaci``,
-#: ``gpadv``, ``gprhs``, ``gpaux``) is excluded: only the final Gauss
-#: iteration survives and fused kernels may legally skip the stores.
+#: stable output arrays of each phase, 1-12: what the golden checks
+#: (:mod:`repro.validation.golden`) compare and the digest rungs
+#: (:mod:`repro.validation.digests`) hash.  Pure per-Gauss-point scratch
+#: (``xjacm``, ``xjaci``, ``gpadv``, ``gprhs``, ``gpaux``) is excluded:
+#: only the final Gauss iteration survives and fused kernels may legally
+#: skip the stores.
 PHASE_OUTPUTS: dict[int, tuple[str, ...]] = {
     1: ("eldens", "elvisc", "eldtinv", "elchale", "elsgs", "elsgs_old"),
     2: ("elunk", "elold", "elcod"),
@@ -182,11 +187,12 @@ PHASE_OUTPUTS: dict[int, tuple[str, ...]] = {
     6: ("elauu", "elrbu", "elrbp"),
     7: ("elauu",),
     8: ("rhsid", "amatr"),
+    **SOLVER_PHASE_OUTPUTS,
 }
 
 
 def run_reference_chunk(d: Data, params: Mapping[str, float],
                         elems: np.ndarray) -> None:
-    """Run all eight phases on one chunk."""
-    for fn in REF_PHASES:
-        fn(d, params, elems)
+    """Run the eight assembly phases on one chunk."""
+    for phase in range(1, 9):
+        REF_PHASES[phase](d, params, elems)

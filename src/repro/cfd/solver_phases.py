@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.cfd.csr import CSRPattern, diagonal
 from repro.cfd.kernel_context import CHUNK_BASE
-from repro.cfd.mesh import Chunk
+from repro.cfd.mesh import Chunk, chunk_range
 from repro.cfd.phases import (
     C,
     L,
@@ -226,7 +226,7 @@ SOLVER_PHASE_NAMES: dict[int, str] = {
     PRECOND_PHASE: "solver jacobi apply",
 }
 
-#: arrays each solver phase writes -- the solver analogue of
+#: arrays each solver phase writes -- folded into
 #: ``repro.cfd.reference.PHASE_OUTPUTS`` (golden checks + digest rungs).
 SOLVER_PHASE_OUTPUTS: dict[int, tuple[str, ...]] = {
     SPMV_PHASE: ("dinv", "yout"),
@@ -276,7 +276,8 @@ def ref_solver_precond(d: dict[str, np.ndarray], params: Mapping[str, float],
     d["zvec"][rows] = d["rvec"][rows] * d["dinv"][rows]
 
 
-#: reference implementations keyed by phase id.
+#: reference implementations keyed by phase id -- folded into
+#: ``repro.cfd.reference.REF_PHASES``.
 SOLVER_REF_PHASES: dict[int, object] = {
     SPMV_PHASE: ref_solver_spmv,
     DOT_PHASE: ref_solver_dot,
@@ -357,14 +358,7 @@ class SolverContext:
 
     def chunks(self) -> list[Chunk]:
         """Contiguous VECTOR_SIZE row chunks over the padded row range."""
-        out = []
-        vs = self.vector_size
-        for ci in range(self.sizes.padded_nrow // vs):
-            start = ci * vs
-            ids = np.arange(start, start + vs, dtype=np.int64)
-            n_real = max(0, min(vs, self.sizes.nrow - start))
-            out.append(Chunk(index=ci, elements=ids, n_real=n_real))
-        return out
+        return chunk_range(self.sizes.nrow, self.vector_size)
 
     def solver_data(self) -> dict[str, np.ndarray]:
         """Fresh float/vector global data for a semantic run (shared by

@@ -220,9 +220,6 @@ class ScalarBlock:
             n *= e
         return n
 
-    def counts_dict(self) -> dict[ScalarOp, float]:
-        return dict(self.counts)
-
 
 @dataclass(frozen=True)
 class VectorInstrDesc:
@@ -257,9 +254,6 @@ class VectorBlock:
         for e in self.loop_extents:
             n *= e
         return n
-
-    def scalar_counts_dict(self) -> dict[ScalarOp, float]:
-        return dict(self.scalar_counts_per_strip)
 
 
 Block = ScalarBlock | VectorBlock

@@ -61,10 +61,6 @@ class BodyCost:
         return (self.unit_loads + self.strided_loads + self.indexed_loads
                 + self.unit_stores + self.strided_stores + self.indexed_stores)
 
-    @property
-    def total_vector_instrs(self) -> int:
-        return self.mem_ops + self.fp_ops + self.long_ops
-
 
 @dataclass(frozen=True)
 class VecRemark:

@@ -140,6 +140,9 @@ class RunConfig:
         if unknown:
             raise TypeError(f"unknown RunConfig argument(s): {sorted(unknown)}")
         cfg = cls(mesh_dims=resolve_mesh(mesh), **kwargs)
+        if cfg.vector_size < 1:
+            raise ValueError(
+                f"vector_size must be at least 1, got {cfg.vector_size}")
         _check_registries(cfg)
         return cfg
 

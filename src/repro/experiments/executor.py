@@ -442,6 +442,10 @@ def simulate_to_dict(cfg: RunConfig) -> dict:
     return payload
 
 
+#: validation failures after which a config is quarantined (no
+#: further retries).
+QUARANTINE_AFTER = 2
+
 #: worker callable signature: RunConfig -> counter dict.
 Worker = Callable[[RunConfig], dict]
 
@@ -481,7 +485,6 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
                  on_event: Optional[EventCallback] = None,
                  worker: Worker = simulate_to_dict,
                  validate: bool = False,
-                 quarantine_after: int = 2,
                  journal: Optional[str | os.PathLike] = None) -> ExecutionResult:
     """Execute every config in *plan*, returning counters keyed by
     :meth:`RunConfig.key`.
@@ -496,10 +499,10 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
 
     With ``validate=True`` every payload is checked against the counter
     invariants; a failing payload consumes an attempt, and after
-    ``quarantine_after`` validation failures the config is quarantined
-    (no further retries).  FLOP conservation across the optimization
-    ladder is checked once all runs are in; verdicts land in
-    ``result.validation``.
+    :data:`QUARANTINE_AFTER` validation failures the config is
+    quarantined (no further retries).  FLOP conservation across the
+    optimization ladder is checked once all runs are in; verdicts land
+    in ``result.validation``.
 
     With ``journal=<path>`` the sweep checkpoints its progress to an
     append-only fsynced file; a subsequent call with the same journal
@@ -634,7 +637,7 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
         key = cfg.key()
         if from_validation:
             validation_fails[key] = validation_fails.get(key, 0) + 1
-            if validation_fails[key] >= quarantine_after:
+            if validation_fails[key] >= QUARANTINE_AFTER:
                 quarantine(cfg, attempt,
                            f"quarantined after {validation_fails[key]} "
                            f"validation failure(s): {error}")

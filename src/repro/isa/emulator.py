@@ -114,7 +114,7 @@ class VectorEmulator:
     """Functional execution of vector programs (element indices address
     the flat double-precision memory)."""
 
-    def __init__(self, vl_max: int, mem_size: int = 4096, tracer=None):
+    def __init__(self, vl_max: int, mem_size: int = 4096):
         from repro.obs.tracer import active as _obs_active
 
         if vl_max <= 0:
@@ -126,10 +126,10 @@ class VectorEmulator:
         self.vl = 0
         self.trace: list[ExecutedRecord] = []
         #: observability hook: every executed instruction is streamed to
-        #: the tracer with its opcode, granted vl and lane occupancy --
-        #: the Vehave-grade per-instruction view.  ``None`` (no explicit
-        #: tracer, no ambient one) keeps the step loop entirely free.
-        self.tracer = tracer if tracer is not None else _obs_active()
+        #: the ambient tracer with its opcode, granted vl and lane
+        #: occupancy -- the Vehave-grade per-instruction view.  ``None``
+        #: (no ambient tracer) keeps the step loop entirely free.
+        self.tracer = _obs_active()
 
     # -- register access ---------------------------------------------------
 

@@ -62,29 +62,24 @@ def strip_lengths(total_trip: int, vl_max: int) -> list[int]:
 class Machine:
     """One simulated core (scalar pipeline + optional VPU + caches).
 
-    An optional *tracer* (duck-typed: ``on_block`` / ``on_vector_instrs``,
-    see :class:`repro.obs.tracer.Tracer`) receives timed events for
-    every executed block -- the simulation-side equivalent of running
-    under Extrae + Vehave.  When no tracer is passed explicitly, the
-    ambient :func:`repro.obs.active` tracer (if any) is picked up, so a
-    ``with obs.use(tracer):`` scope observes every machine it encloses
-    -- including machines built deep inside executor workers.  Phase
-    kernels are additionally stamped as SIM-domain spans on the cycle
-    clock (:meth:`~repro.obs.tracer.Tracer.span_at`), the timeline the
+    The ambient :func:`repro.obs.active` tracer at construction (if any:
+    a :class:`repro.obs.tracer.Tracer`) receives timed events for every
+    executed block -- the simulation-side equivalent of running under
+    Extrae + Vehave -- so a ``with obs.use(tracer):`` scope observes
+    every machine built inside it, including machines built deep inside
+    executor workers.  Phase kernels are additionally stamped as
+    SIM-domain spans on the cycle clock
+    (:meth:`~repro.obs.tracer.Tracer.span_at`), the timeline the
     Chrome/Paraver exporters render.
     """
 
-    def __init__(self, params: MachineParams, cache_enabled: bool = True,
-                 tracer=None):
+    def __init__(self, params: MachineParams, cache_enabled: bool = True):
         from repro.obs.tracer import active as _obs_active
 
         self.params = params
         self.vpu: Optional[VPUModel] = VPUModel(params.vpu) if params.vpu else None
         self.mem = MemoryHierarchy(params.memory, enabled=cache_enabled)
-        self.tracer = tracer if tracer is not None else _obs_active()
-        #: span hook, pre-resolved so the no-tracer hot path stays free
-        #: and legacy duck-typed tracers without span_at keep working.
-        self._span_at = getattr(self.tracer, "span_at", None)
+        self.tracer = _obs_active()
         #: running cycle clock (advances as blocks execute).
         self.clock = 0.0
         self._cpi = {
@@ -96,9 +91,6 @@ class Machine:
             ScalarOp.STORE: params.scalar.cpi_store,
             ScalarOp.BRANCH: params.scalar.cpi_branch,
         }
-
-    def reset_memory(self) -> None:
-        self.mem.reset()
 
     # ------------------------------------------------------------------
 
@@ -254,9 +246,9 @@ class Machine:
             self.clock += delta
             if self.tracer is not None:
                 self.tracer.on_block(block.phase, block.label, kind, t0, delta)
-        if self._span_at is not None:
-            self._span_at(compiled.name, cat="phase", t0=kernel_t0,
-                          t1=self.clock, phase=compiled.phase)
+        if self.tracer is not None:
+            self.tracer.span_at(compiled.name, cat="phase", t0=kernel_t0,
+                                t1=self.clock, phase=compiled.phase)
 
     def execute_program(self, kernels: list[CompiledKernel],
                         instance: KernelInstance, run: RunCounters) -> None:

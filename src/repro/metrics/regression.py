@@ -25,11 +25,6 @@ class RegressionResult:
     predictions: np.ndarray
     residuals: np.ndarray
 
-    @property
-    def cod(self) -> float:
-        """Coefficient of determination (paper notation)."""
-        return self.r_squared
-
 
 def linear_regression(X: np.ndarray, y: np.ndarray) -> RegressionResult:
     """Fit ``y ~ 1 + X`` by ordinary least squares.

@@ -6,7 +6,7 @@ where one silent mis-measurement poisons every downstream table.  This
 package is the reproduction's answer: every simulated run can be
 cross-checked against cheap structural invariants
 (:mod:`repro.validation.invariants`) and, per optimization rung, against
-the NumPy golden reference of the eight phases
+the NumPy golden reference of phases 1-12
 (:mod:`repro.validation.golden`).
 
 The sweep executor threads these checks through

@@ -8,7 +8,9 @@ iterations are independent, and iteration order within a phase's
 accumulates is preserved).  :func:`phase_output_digests` turns that into
 a comparable fingerprint: one SHA-256 per phase over the phase's output
 arrays (:data:`repro.cfd.reference.PHASE_OUTPUTS`), accumulated chunk by
-chunk on the golden probe mesh.
+chunk on the golden probe mesh -- through the one semantic chunk loop
+(:func:`repro.cfd.kernel_context.run_chunked`) for the assembly phases
+1-8 and the solver phases 9-12 alike.
 
 This is the invariant that catches the pass faults the counter checks
 cannot: a mis-legalized interchange or fission conserves FLOPs by
@@ -30,48 +32,44 @@ comparable, which is why the probe size is pinned).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from repro.cfd.kernel_context import run_chunked
+from repro.cfd.reference import PHASE_OUTPUTS
 from repro.validation.golden import MutateHook
 from repro.validation.probe import Probe, resolve_probe
 
 
+def _digest(context, kernels: list, data: dict[str, np.ndarray],
+            backend: str) -> dict[int, str]:
+    """Run *kernels* chunk by chunk on *data*, hashing every phase's
+    output arrays."""
+    hashers = {kern.phase: hashlib.sha256() for kern in kernels}
+    for _, inst, phase in run_chunked(context, kernels, data, backend):
+        for name in PHASE_OUTPUTS[phase]:
+            arr = np.ascontiguousarray(
+                np.asarray(inst.data(name), dtype=np.float64))
+            hashers[phase].update(arr.tobytes())
+    return {phase: h.hexdigest() for phase, h in sorted(hashers.items())}
+
+
 def _compute_digests(probe: Probe,
                      mutate: Optional[MutateHook]) -> dict[int, str]:
-    from repro.backends import get_backend
-    from repro.cfd.reference import PHASE_OUTPUTS
-
-    backend = get_backend(probe.backend)
     app = probe.build_app()
     kernels = list(app.kernels)
     if mutate is not None:
         kernels = mutate(kernels)
-    gdata = app.global_float_data()
-    globals_data = {**gdata, "elpos": app.elpos}
-    hashers = {phase: hashlib.sha256() for phase in PHASE_OUTPUTS}
-    for chunk in app.chunks:
-        inst = app.context.instance_for_chunk(chunk, with_data=True,
-                                              globals_data=globals_data)
-        executor = backend.executor(inst, app.context.params)
-        for kern in kernels:
-            executor.run(kern)
-            for name in PHASE_OUTPUTS[kern.phase]:
-                arr = np.ascontiguousarray(
-                    np.asarray(inst.data(name), dtype=np.float64))
-                hashers[kern.phase].update(arr.tobytes())
-    return {phase: h.hexdigest() for phase, h in sorted(hashers.items())}
+    return _digest(app.context, kernels, app.assembly_data(), probe.backend)
 
 
 @lru_cache(maxsize=64)
 def _honest_digests(probe: Probe) -> tuple[tuple[int, str], ...]:
     """Memoized honest-pipeline digests, keyed by the (frozen, hashable)
     probe -- a chaos campaign fingerprints the same rungs many times
-    over.  Tolerances are irrelevant to digests, so they are normalized
-    out of the key to avoid duplicate cache entries."""
+    over."""
     return tuple(sorted(_compute_digests(probe, None).items()))
 
 
@@ -91,8 +89,7 @@ def phase_output_digests(probe: "str | Probe" = "vanilla", /, *,
     """
     spec = resolve_probe(probe)
     if mutate is None:
-        key = replace(spec, rtol=Probe.rtol, atol=Probe.atol)
-        return dict(_honest_digests(key))
+        return dict(_honest_digests(spec))
     return _compute_digests(spec, mutate)
 
 
@@ -103,32 +100,16 @@ def phase_output_digests(probe: "str | Probe" = "vanilla", /, *,
 
 def _compute_solver_digests(probe: Probe, mutate: Optional[MutateHook],
                             workload=None) -> dict[int, str]:
-    from repro.backends import get_backend
-    from repro.cfd.solver_phases import (
-        SOLVER_PHASE_OUTPUTS,
-        seeded_solver_inputs,
-    )
+    from repro.cfd.solver_phases import seeded_solver_inputs
 
-    backend = get_backend(probe.backend)
-    app = probe.build_app()
     if workload is None:
-        workload, _ = app.build_solver()
+        workload, _ = probe.build_app().build_solver()
     kernels = sorted(workload.kernels, key=lambda k: k.phase)
     if mutate is not None:
         kernels = mutate(list(kernels))
     ctx = workload.context
-    data = seeded_solver_inputs(ctx, probe.field_seed)
-    hashers = {phase: hashlib.sha256() for phase in SOLVER_PHASE_OUTPUTS}
-    for chunk in ctx.chunks():
-        inst = ctx.instance_for_chunk(chunk, globals_data=data)
-        executor = backend.executor(inst, ctx.params)
-        for kern in kernels:
-            executor.run(kern)
-            for name in SOLVER_PHASE_OUTPUTS[kern.phase]:
-                arr = np.ascontiguousarray(
-                    np.asarray(inst.data(name), dtype=np.float64))
-                hashers[kern.phase].update(arr.tobytes())
-    return {phase: h.hexdigest() for phase, h in sorted(hashers.items())}
+    return _digest(ctx, kernels, seeded_solver_inputs(ctx, probe.field_seed),
+                   probe.backend)
 
 
 @lru_cache(maxsize=64)
@@ -145,7 +126,7 @@ def solver_phase_digests(probe: "str | Probe" = "vanilla", /, *,
     dot / axpy / Jacobi-apply kernels (phases 9-12) run chunk by chunk
     on seeded vectors over the probe's assembled (diagonal-shifted)
     matrix, hashing each phase's output arrays
-    (:data:`repro.cfd.solver_phases.SOLVER_PHASE_OUTPUTS`).  Honest
+    (:data:`repro.cfd.reference.PHASE_OUTPUTS`).  Honest
     rungs and honest backends all return the same digests; a tampered
     kernel list (``mutate``) or a fault-injected workload (``workload=``,
     e.g. a torn ELL gather table) diverges at the struck phase --
@@ -153,6 +134,5 @@ def solver_phase_digests(probe: "str | Probe" = "vanilla", /, *,
     """
     spec = resolve_probe(probe)
     if mutate is None and workload is None:
-        key = replace(spec, rtol=Probe.rtol, atol=Probe.atol)
-        return dict(_honest_solver_digests(key))
+        return dict(_honest_solver_digests(spec))
     return _compute_solver_digests(spec, mutate, workload=workload)

@@ -10,6 +10,11 @@ compares that phase's output arrays -- and ultimately the assembled
 global RHS and CSR matrix -- against :mod:`repro.cfd.reference` within
 tolerance.
 
+Both checks -- assembly (phases 1-8) and solver (phases 9-12) -- run
+their kernels through the one semantic chunk loop
+(:func:`repro.cfd.kernel_context.run_chunked`) and compare through the
+one phase registry (:data:`repro.cfd.reference.REF_PHASES`).
+
 Golden checks run on a small probe mesh described by a shared
 :class:`~repro.validation.probe.Probe` spec, passed positionally (the
 semantics of a rung do not depend on mesh size or VECTOR_SIZE beyond
@@ -29,11 +34,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, get_backend
-from repro.cfd.assembly import MiniApp
+from repro.backends import DEFAULT_BACKEND
+from repro.cfd.kernel_context import run_chunked
 from repro.cfd.reference import PHASE_OUTPUTS, REF_PHASES
 from repro.compiler.ir import Kernel
-from repro.validation.probe import Probe, resolve_probe
+from repro.validation.probe import ATOL, RTOL, Probe, resolve_probe
 
 #: corruption hook: (instance, phase_id, chunk_index) -> None, called
 #: after the backend ran the phase and before the cross-check.
@@ -57,8 +62,6 @@ class GoldenReport:
     opt: str
     vector_size: int
     mesh_dims: tuple[int, int, int]
-    rtol: float
-    atol: float
     backend: str = DEFAULT_BACKEND
     #: worst absolute deviation seen per phase (diagnostics).
     max_abs_error: dict[int, float] = field(default_factory=dict)
@@ -85,56 +88,36 @@ class GoldenReport:
         }
 
 
-def _check_kernels(report: GoldenReport, app: MiniApp,
-                   kernels: list[Kernel], *, stage: str = "",
-                   corrupt: Optional[CorruptHook] = None) -> None:
-    """Execute *kernels* (via ``report.backend``) against the NumPy
-    reference on *app*'s probe mesh, appending violations (labelled
-    *stage*) to *report*."""
-    ctx = app.context
-    backend = get_backend(report.backend)
+def _check(report: GoldenReport, context, kernels: list[Kernel],
+           data: dict[str, np.ndarray], ref_data: dict[str, np.ndarray], *,
+           where: str = "", corrupt: Optional[CorruptHook] = None) -> None:
+    """Run *kernels* chunk by chunk on *data* (via ``report.backend``)
+    beside the NumPy reference on its own *ref_data*, comparing every
+    phase's outputs; violations are prefixed with *where*."""
+    for chunk, inst, phase in run_chunked(context, kernels, data,
+                                          report.backend):
+        if corrupt is not None:
+            corrupt(inst, phase, chunk.index)
+        REF_PHASES[phase](ref_data, context.params, chunk.elements)
+        for name in PHASE_OUTPUTS[phase]:
+            got = np.asarray(inst.data(name), dtype=np.float64)
+            want = np.asarray(ref_data[name], dtype=np.float64)
+            diff = np.abs(got - want)
+            err = float(diff.max()) if diff.size else 0.0
+            report.max_abs_error[phase] = max(
+                report.max_abs_error.get(phase, 0.0), err)
+            bad = ~np.isclose(got, want, rtol=RTOL, atol=ATOL,
+                              equal_nan=False)
+            if bad.any() and len(report.violations) < MAX_VIOLATIONS:
+                report.violations.append(
+                    f"{where}chunk {chunk.index} phase {phase} "
+                    f"{name!r}: {int(bad.sum())} element(s) deviate, "
+                    f"max abs error {err:.3e}")
 
-    # Backend side: globals bound by reference into each instance.
-    gdata = app.global_float_data()
-    globals_data = {**gdata, "elpos": app.elpos}
 
-    # Reference side: private copies of the float globals (both sides
-    # scatter-accumulate into their own rhsid/amatr) + gather tables.
-    ref_data: dict[str, np.ndarray] = {
-        **{name: arr.copy() for name, arr in gdata.items()},
-        "lnods": ctx.lnods, "ltype": ctx.ltype, "lmate": ctx.lmate,
-        "kfl_sgs": ctx.kfl_sgs, "elpos": app.elpos,
-    }
-    local_arrays = [a for a in ctx.arrays.values() if a.scope == "local"]
-    where = f"stage {stage} " if stage else ""
-
-    for chunk in app.chunks:
-        inst = ctx.instance_for_chunk(chunk, with_data=True,
-                                      globals_data=globals_data)
-        # fresh chunk-local scratch, mirroring the instance's zeroed data.
-        for arr in local_arrays:
-            ref_data[arr.name] = np.zeros(arr.shape)
-        executor = backend.executor(inst, ctx.params)
-        for kern in kernels:
-            phase = kern.phase
-            executor.run(kern)
-            if corrupt is not None:
-                corrupt(inst, phase, chunk.index)
-            REF_PHASES[phase - 1](ref_data, ctx.params, chunk.elements)
-            for name in PHASE_OUTPUTS[phase]:
-                got = np.asarray(inst.data(name), dtype=np.float64)
-                want = np.asarray(ref_data[name], dtype=np.float64)
-                diff = np.abs(got - want)
-                err = float(diff.max()) if diff.size else 0.0
-                report.max_abs_error[phase] = max(
-                    report.max_abs_error.get(phase, 0.0), err)
-                bad = ~np.isclose(got, want, rtol=report.rtol,
-                                  atol=report.atol, equal_nan=False)
-                if bad.any() and len(report.violations) < MAX_VIOLATIONS:
-                    report.violations.append(
-                        f"{where}chunk {chunk.index} phase {phase} "
-                        f"{name!r}: {int(bad.sum())} element(s) deviate, "
-                        f"max abs error {err:.3e}")
+def _report(spec: Probe) -> GoldenReport:
+    return GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
+                        mesh_dims=spec.mesh_dims, backend=spec.backend)
 
 
 def golden_check(probe: "str | Probe" = "vanilla", /, *,
@@ -163,10 +146,15 @@ def golden_check(probe: "str | Probe" = "vanilla", /, *,
     *detected*.
     """
     spec = resolve_probe(probe)
-    report = GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
-                          mesh_dims=spec.mesh_dims, rtol=spec.rtol,
-                          atol=spec.atol, backend=spec.backend)
+    report = _report(spec)
     app = spec.build_app()
+
+    def check(kernels: list[Kernel], where: str = "") -> None:
+        # both sides start from byte-identical fresh data and
+        # scatter-accumulate into their own rhsid/amatr.
+        ref_data = {**app.assembly_data(), **app.context.scratch_data()}
+        _check(report, app.context, kernels, app.assembly_data(), ref_data,
+               where=where, corrupt=corrupt)
 
     if transformed:
         for prefix in app.pipeline.prefixes():
@@ -175,15 +163,14 @@ def golden_check(probe: "str | Probe" = "vanilla", /, *,
             if mutate is not None and len(names) == len(app.pipeline):
                 kernels = mutate(list(kernels))
             report.stages.append(names)
-            _check_kernels(report, app, list(kernels),
-                           stage=f"[{' -> '.join(names) or 'baseline'}]",
-                           corrupt=corrupt)
+            check(list(kernels),
+                  f"stage [{' -> '.join(names) or 'baseline'}] ")
         return report
 
     kernels = list(app.kernels)
     if mutate is not None:
         kernels = mutate(kernels)
-    _check_kernels(report, app, kernels, corrupt=corrupt)
+    check(kernels)
     return report
 
 
@@ -195,7 +182,7 @@ def golden_check(probe: "str | Probe" = "vanilla", /, *,
 #: Scalar recurrences (alpha, beta, omega) are fed by kernel-computed
 #: dots that differ from NumPy's pairwise sums at machine epsilon, so
 #: the *iterates* drift slightly over a solve even though every single
-#: kernel agrees to the probe tolerance -- hence looser than Probe.rtol.
+#: kernel agrees to the probe tolerance -- hence looser than RTOL.
 SOLVE_X_RTOL = 1e-6
 SOLVE_X_ATOL = 1e-9
 
@@ -215,9 +202,8 @@ def solver_golden_check(probe: "str | Probe" = "vanilla", /, *,
 
     1. **per-kernel** -- the compiled SpMV / dot / axpy / Jacobi-apply
        kernels run chunk by chunk (through the probe's backend) on
-       seeded vectors, against
-       :data:`repro.cfd.solver_phases.SOLVER_REF_PHASES`, compared to
-       the probe tolerance after every kernel;
+       seeded vectors, against :data:`repro.cfd.reference.REF_PHASES`,
+       compared to the probe tolerance after every kernel;
     2. **end-to-end** -- :meth:`SolverWorkload.ir_solve` (every vector
        op through the kernels) against :func:`repro.cfd.solver.cg` /
        ``bicgstab`` on the assembled shifted system: the converged
@@ -230,18 +216,11 @@ def solver_golden_check(probe: "str | Probe" = "vanilla", /, *,
     the solver kernel list before execution (the chaos harness's entry
     points for torn-gather / mis-legalization drills).
     """
-    from repro.cfd.solver import SolveResult  # noqa: F401  (doc anchor)
     from repro.cfd.solver_path import SOLVE_TOL
-    from repro.cfd.solver_phases import (
-        SOLVER_PHASE_OUTPUTS,
-        SOLVER_REF_PHASES,
-        seeded_solver_inputs,
-    )
+    from repro.cfd.solver_phases import seeded_solver_inputs
 
     spec = resolve_probe(probe)
-    report = GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
-                          mesh_dims=spec.mesh_dims, rtol=spec.rtol,
-                          atol=spec.atol, backend=spec.backend)
+    report = _report(spec)
     app = spec.build_app()
     if workload is None:
         workload, b = app.build_solver()
@@ -255,32 +234,10 @@ def solver_golden_check(probe: "str | Probe" = "vanilla", /, *,
 
     # -- stage 1: per-kernel, chunk by chunk ----------------------------
     report.stages.append(("solver-kernels",))
-    be = get_backend(report.backend)
     ctx = workload.context
-    ir_data = seeded_solver_inputs(ctx, spec.field_seed)
-    ref_data = {name: arr.copy() for name, arr in ir_data.items()}
-    for chunk in ctx.chunks():
-        inst = ctx.instance_for_chunk(chunk, globals_data=ir_data)
-        executor = be.executor(inst, ctx.params)
-        rows = chunk.elements
-        for kern in kernels:
-            phase = kern.phase
-            executor.run(kern)
-            SOLVER_REF_PHASES[phase](ref_data, ctx.params, rows)
-            for name in SOLVER_PHASE_OUTPUTS[phase]:
-                got = np.asarray(inst.data(name), dtype=np.float64)
-                want = np.asarray(ref_data[name], dtype=np.float64)
-                diff = np.abs(got - want)
-                err = float(diff.max()) if diff.size else 0.0
-                report.max_abs_error[phase] = max(
-                    report.max_abs_error.get(phase, 0.0), err)
-                bad = ~np.isclose(got, want, rtol=report.rtol,
-                                  atol=report.atol, equal_nan=False)
-                if bad.any() and len(report.violations) < MAX_VIOLATIONS:
-                    report.violations.append(
-                        f"solver chunk {chunk.index} phase {phase} "
-                        f"{name!r}: {int(bad.sum())} element(s) deviate, "
-                        f"max abs error {err:.3e}")
+    data = seeded_solver_inputs(ctx, spec.field_seed)
+    _check(report, ctx, kernels, data,
+           {name: arr.copy() for name, arr in data.items()}, where="solver ")
 
     # -- stage 2: end-to-end IR solve vs NumPy solver reference ---------
     report.stages.append((f"solver-e2e:{method}",))

@@ -3,7 +3,7 @@
 :class:`Probe` is one frozen, hashable value object that *is* the
 validation configuration: what rung (or explicit pass schedule) to
 compile, on what probe mesh, from which seeded fields, executed by which
-backend, compared how.  ``golden_check``, ``solver_golden_check``,
+backend.  ``golden_check``, ``solver_golden_check``,
 ``phase_output_digests`` and ``solver_phase_digests`` all take it as
 their one positional argument -- or a bare rung string, which selects
 the default probe for that rung (:func:`resolve_probe`).
@@ -26,6 +26,11 @@ from repro.backends import DEFAULT_BACKEND
 PROBE_MESH: tuple[int, int, int] = (3, 2, 2)
 PROBE_VECTOR_SIZE = 8
 
+#: golden-check tolerances: every kernel output must match the NumPy
+#: reference to ``np.isclose(got, want, rtol=RTOL, atol=ATOL)``.
+RTOL = 1e-9
+ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Probe:
@@ -41,8 +46,6 @@ class Probe:
     vector_size: int = PROBE_VECTOR_SIZE
     mesh_dims: tuple[int, int, int] = PROBE_MESH
     field_seed: int = 0
-    rtol: float = 1e-9
-    atol: float = 1e-12
     backend: str = DEFAULT_BACKEND
     passes: Optional[tuple[str, ...]] = None
 

@@ -23,7 +23,7 @@ from repro.cfd.solver_phases import (
 )
 from repro.compiler.transforms import legal_schedules
 from repro.validation.digests import solver_phase_digests
-from repro.validation.probe import Probe
+from repro.validation.probe import ATOL, RTOL, Probe
 
 RUNGS = ("scalar", "vanilla", "vec2", "ivec2", "vec1")
 
@@ -75,7 +75,7 @@ def test_fuzz_kernels_match_numpy_reference(seed, backend):
             for name in SOLVER_PHASE_OUTPUTS[kern.phase]:
                 np.testing.assert_allclose(
                     np.asarray(inst.data(name)), ref[name],
-                    rtol=probe.rtol, atol=probe.atol,
+                    rtol=RTOL, atol=ATOL,
                     err_msg=f"{kern.name}:{name}")
     n = ctx.sizes.nrow
     np.testing.assert_allclose(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cfd.elements import HEX08, PNODE
-from repro.cfd.mesh import Mesh, box_mesh
+from repro.cfd.mesh import Mesh, box_mesh, chunk_range
 
 
 def test_box_mesh_counts():
@@ -39,27 +39,12 @@ def test_renumbering_preserves_geometry():
 
 
 def test_chunks_exact_division():
-    m = box_mesh(4, 2, 2)  # 16 elements
-    chunks = m.chunks(8)
+    chunks = chunk_range(16, 8)
     assert len(chunks) == 2
     assert all(c.size == 8 for c in chunks)
     assert all(c.n_real == 8 for c in chunks)
     ids = np.concatenate([c.elements for c in chunks])
     np.testing.assert_array_equal(ids, np.arange(16))
-
-
-def test_chunks_padding_repeats_last_element():
-    m = box_mesh(3, 2, 2)  # 12 elements
-    chunks = m.chunks(8)
-    assert len(chunks) == 2
-    tail = chunks[-1]
-    assert tail.n_real == 4
-    assert np.all(tail.elements[4:] == 11)
-
-
-def test_chunks_bad_size():
-    with pytest.raises(ValueError):
-        box_mesh(2, 2, 2).chunks(0)
 
 
 def test_mesh_validation():
@@ -80,15 +65,16 @@ def test_node_coordinates_lexicographic():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-       st.integers(1, 40))
-def test_chunk_invariants(nx, ny, nz, vs):
-    m = box_mesh(nx, ny, nz)
-    chunks = m.chunks(vs)
-    assert sum(c.n_real for c in chunks) == m.nelem
+@given(st.integers(1, 64), st.integers(1, 40))
+def test_chunk_invariants(n, vs):
+    chunks = chunk_range(n, vs)
+    assert sum(c.n_real for c in chunks) == n
     assert all(c.size == vs for c in chunks)
-    assert all(0 <= c.elements.min() and c.elements.max() < m.nelem
-               for c in chunks)
+    # contiguous ids over the padded range: 0 .. whole chunks * vs - 1.
+    ids = np.concatenate([c.elements for c in chunks])
+    np.testing.assert_array_equal(ids, np.arange(len(chunks) * vs))
+    assert len(chunks) * vs - n < vs
+    assert [c.index for c in chunks] == list(range(len(chunks)))
 
 
 @settings(max_examples=10, deadline=None)

@@ -285,6 +285,16 @@ def test_run_config_from_kwargs_rejects_junk():
         RunConfig.from_kwargs(mesh="huge")
 
 
+@pytest.mark.parametrize("vs", [0, -8])
+def test_run_config_rejects_vector_size_below_one(vs):
+    # the CLI and the service wire build configs through these two.
+    with pytest.raises(ValueError, match="vector_size"):
+        RunConfig.from_kwargs(mesh="tiny", vs=vs)
+    wire = {**RunConfig(mesh_dims=TINY).to_dict(), "vector_size": vs}
+    with pytest.raises(ValueError, match="vector_size"):
+        RunConfig.from_dict(wire)
+
+
 def test_run_config_solve_round_trips():
     cfg = RunConfig(opt="vanilla", vector_size=16, mesh_dims=TINY, solve=True)
     assert cfg.key().endswith("-solve")

@@ -15,12 +15,14 @@ from repro.experiments.executor import (
 )
 from repro.metrics.counters import PhaseCounters, RunCounters
 from repro.validation import (
+    Probe,
     check_flop_ladder,
     check_phase_counters,
     check_phase_digest_ladder,
     check_run_counters,
     golden_check,
     phase_output_digests,
+    solver_phase_digests,
     validate_run,
     vl_max_for,
 )
@@ -154,7 +156,7 @@ def test_lying_worker_is_quarantined(tmp_path):
         return payload
 
     res = execute_plan(ExecutionPlan.smoke(TINY_MESH), cache_dir=tmp_path,
-                       retries=5, validate=True, quarantine_after=2,
+                       retries=5, validate=True,
                        worker=lying_worker, on_event=events.append)
     assert target in res.quarantined
     assert target in res.failed
@@ -219,6 +221,19 @@ def test_digest_ladder_needs_a_majority():
     # two runs disagreeing is a tie, not a verdict.
     assert check_phase_digest_ladder(
         {"a": {"1": "x"}, "b": {"1": "y"}}) == {}
+
+
+def test_supplied_solver_workload_is_digested_without_building_an_app(
+        monkeypatch):
+    probe = Probe()
+    workload, _ = probe.build_app().build_solver()
+    honest = solver_phase_digests(probe)
+
+    def no_app(self):
+        raise AssertionError("Probe.build_app called beside a workload")
+
+    monkeypatch.setattr(Probe, "build_app", no_app)
+    assert solver_phase_digests(probe, workload=workload) == honest
 
 
 # -- golden reference -------------------------------------------------------

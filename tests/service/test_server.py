@@ -111,6 +111,12 @@ def test_bad_configs_are_rejected_per_request(server):
     resp = client._request("submit", configs=[{"opt": "no-such-rung"}],
                            tenant="alice")
     assert not resp["ok"]
+    for vs in (0, -8):
+        wire = {**CONFIGS[0].to_dict(), "vector_size": vs}
+        resp = client._request("submit", configs=[wire], tenant="alice")
+        assert not resp["ok"]
+        assert "vector_size" in resp["error"]
+    assert client.jobs()["jobs"] == []
 
 
 def test_flood_rejections_cross_the_wire(tmp_path):

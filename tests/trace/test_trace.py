@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
 from repro.machine.cpu import Machine
@@ -15,7 +16,8 @@ from repro.trace.events import BlockEvent, VectorInstrEvent
 def traced_run():
     app = MiniApp(box_mesh(4, 4, 4), vector_size=32, opt="vec1")
     tracer = Tracer()
-    machine = Machine(RISCV_VEC, tracer=tracer)
+    with obs.use(tracer):
+        machine = Machine(RISCV_VEC)
     run = app.run_timed(RISCV_VEC, machine=machine)
     return tracer, run
 
