@@ -79,11 +79,13 @@ def candidate_config(schedule: tuple[str, ...], *, machine: str,
     Candidates run on the ``vanilla`` rung with an explicit pass list,
     so the schedule -- not a preset -- decides the generated code; the
     empty schedule maps to ``passes=None`` (the baseline cache key).
+    Built through :meth:`RunConfig.from_kwargs`, so a bad VECTOR_SIZE,
+    machine or backend raises ``ValueError`` here.
     """
-    return RunConfig(machine=machine, opt="vanilla",
-                     vector_size=vector_size, mesh_dims=mesh_dims,
-                     field_seed=seed, backend=backend,
-                     passes=schedule or None)
+    return RunConfig.from_kwargs(machine=machine, opt="vanilla",
+                                 vector_size=vector_size,
+                                 mesh_dims=mesh_dims, field_seed=seed,
+                                 backend=backend, passes=schedule or None)
 
 
 def validate_schedule(schedule: tuple[str, ...], *, vector_size: int,
@@ -166,6 +168,11 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
     fetched payloads back in).  Both default to the local cached
     executor.
     """
+    # the baseline config first: it checks the inputs before the digest
+    # probes, which run on no RunConfig of their own.
+    baseline_config = candidate_config(
+        (), machine=machine, vector_size=vector_size, mesh_dims=mesh_dims,
+        seed=seed, backend=backend)
     params = get_machine(machine)
     model = ScheduleCostModel(params=params, vector_size=vector_size)
 
@@ -226,9 +233,7 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
                 runs = result.runs
 
         from repro.experiments.executor import build_miniapp
-        baseline = build_miniapp(candidate_config(
-            (), machine=machine, vector_size=vector_size,
-            mesh_dims=mesh_dims, seed=seed, backend=backend))
+        baseline = build_miniapp(baseline_config)
         for outcome in survivors:
             key = configs[outcome.schedule].key()
             counters: RunCounters = runs[key]

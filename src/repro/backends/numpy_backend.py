@@ -6,8 +6,9 @@ The lowering turns each :class:`~repro.compiler.ir.Kernel` into a cached
 instead of one element at a time:
 
 * every loop the legality analysis clears is joined to the grid as one
-  trailing axis (``ivect`` chunk loops, unrolled ``inode``/``idime``
-  nests, gauss loops without scratch reuse);
+  trailing axis (``ivect`` chunk loops, strip-mined ``ivect_strip`` /
+  ``ivect`` pairs, unrolled ``inode``/``idime`` nests, gauss loops
+  without scratch reuse);
 * affine index maps evaluate to integer index arrays over the grid
   (:func:`repro.compiler.program.eval_index`, shared with the machine
   model's address streams), ``Indirect`` gathers become fancy indexing;
@@ -29,6 +30,27 @@ any loop whose vectorization could reorder reads relative to writes or
 interleave statements on a shared location; everything else is provably
 order-preserving.  The frozen fixture in
 ``tests/fixtures/backend_equivalence.json`` pins the result.
+
+The rules rest on *resolution*: a store resolves a loop var when one of
+its affine dims recovers that var from the location, so each location
+belongs to one lane.  Two rules decide it (see :func:`_resolves`):
+
+* **only vars that vary count** -- a loop var bound outside the loop
+  being checked (or, for the duplicate-free accumulate test, off the
+  vectorized stack) holds one value while the grid executes, so it is
+  a constant at that instant, like the chunk base.  Order survives:
+  take two writes to one location and the outermost loop whose var
+  they differ in.  If it joined the grid, its check resolved its var
+  with every outer var constant, so the two cannot share a location;
+  so it is sequential, and runs them in its own order, as the
+  interpreter does;
+* **mixed radix** -- a dim whose varying terms, ordered by
+  ``|coef|``, each exceed the summed span of the smaller ones is
+  injective, so it resolves all of them together.  StripMine's
+  ``S*ivect_strip + ivect`` (``0 <= ivect < S``) is the case that
+  matters: strip-mined nests join the grid like the loop they split,
+  and since the grid flattens outermost-first, ``np.add.at`` still
+  replays accumulations in the strip-major, element-minor loop order.
 
 Known (documented) divergence: the interpreter raises Python's
 ``ZeroDivisionError`` / ``math`` domain errors where NumPy produces
@@ -62,7 +84,6 @@ from repro.compiler.ir import (
     Ref,
     Stmt,
     Unary,
-    walk_loops,
 )
 from repro.compiler.program import KernelInstance, eval_index
 
@@ -136,18 +157,40 @@ class _Write:
     extents: Mapping[str, int]
 
 
-def _resolves(ref: Ref, v: str, loop_vars: frozenset[str]) -> bool:
-    """True if some affine dim of *ref* pins down *v*: nonzero coef on
-    ``v`` and no other loop variable in the dim (named index constants
-    like the chunk base are runtime constants, not loop vars, so they
-    do not spoil resolution).  A resolved var is recoverable from the
-    store location, which is what the ordering proofs need."""
+def _resolves(ref: Ref, v: str, varying: Mapping[str, int]) -> bool:
+    """True if some affine dim of *ref* pins down *v*, where *varying*
+    maps the loop vars that vary at this instant to their extents.
+
+    Two rules make a dim injective over its varying terms, so that the
+    store location recovers every one of them:
+
+    * **Only varying vars count.**  A loop var bound outside the
+      candidate loop (or, for :attr:`PlanAssign.unique`, off the
+      vectorized stack) holds one value while the grid executes, so it
+      is a constant at that instant, just like a named index constant
+      (the chunk base).
+    * **Mixed radix.**  Ordered by ``|coef|``, each varying term's
+      ``|coef|`` exceeds the summed spans ``|c| * (extent - 1)`` of the
+      smaller ones (StripMine's ``S*ivect_strip + ivect`` with
+      ``0 <= ivect < S``).  If two points differ, the largest term they
+      differ in moves the dim by at least its ``|coef|``, more than the
+      smaller terms can take back, so the dim resolves all its varying
+      vars together.  A lone varying term is the trivial case.
+
+    A resolved var is recoverable from the store location, so each
+    location belongs to one lane; the module docstring shows why that
+    preserves the interpreter's order."""
     for e in ref.idx:
-        if not isinstance(e, Affine):
+        if not isinstance(e, Affine) or e.coef(v) == 0:
             continue
-        if e.coef(v) == 0:
-            continue
-        if all(u == v or u not in loop_vars for u, _ in e.terms):
+        terms = sorted((abs(c), abs(c) * (varying[u] - 1))
+                       for u, c in e.terms if c and u in varying)
+        spans = 0
+        for c, span in terms:
+            if c <= spans:
+                break
+            spans += span
+        else:
             return True
     return False
 
@@ -193,7 +236,7 @@ class _Planner:
        see pre-iteration values -- this is what keeps the scratch-reuse
        gauss loops of phases 3/6/7 sequential);
     2. any two stores to the same array are range-disjoint, or share the
-       identical index tuple *and* resolve ``v`` (either way the
+       identical index tuple *and* both resolve ``v`` (either way the
        per-location operation sequence survives statement-at-a-time
        execution);
     3. every store either resolves ``v`` (its location pins the lane, so
@@ -207,25 +250,26 @@ class _Planner:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.loop_vars = frozenset(l.var for l in walk_loops(kernel.body))
         self._verdicts: dict[int, bool] = {}
 
     def plan(self) -> tuple[PlanNode, ...]:
-        return tuple(self._plan_stmt(s, ()) for s in self.kernel.body)
+        return tuple(self._plan_stmt(s, {}) for s in self.kernel.body)
 
     # -- plan construction -------------------------------------------------
 
-    def _plan_stmt(self, s: Stmt, vec_stack: tuple[str, ...]) -> PlanNode:
+    def _plan_stmt(self, s: Stmt, vec_stack: Mapping[str, int]) -> PlanNode:
+        """*vec_stack* maps the vectorized loop vars around *s* to
+        their extents: the vars that vary across the grid."""
         if isinstance(s, Assign):
-            unique = all(_resolves(s.ref, v, self.loop_vars)
-                         for v in vec_stack)
+            unique = all(_resolves(s.ref, v, vec_stack) for v in vec_stack)
             return PlanAssign(s, unique)
         if isinstance(s, If):
             return PlanIf(s, tuple(self._plan_stmt(b, vec_stack)
                                    for b in s.body))
         if isinstance(s, Loop):
             vec = self._vectorizable(s)
-            inner = vec_stack + (s.var,) if vec else vec_stack
+            inner = ({**vec_stack, s.var: s.extent.value} if vec
+                     else vec_stack)
             return PlanLoop(s, vec, tuple(self._plan_stmt(b, inner)
                                           for b in s.body))
         raise TypeError(f"cannot plan {s!r}")  # pragma: no cover
@@ -252,11 +296,12 @@ class _Planner:
                 for j in range(i + 1, len(ws)):
                     a, b = ws[i], ws[j]
                     same_ref = (a.stmt.ref.idx == b.stmt.ref.idx
-                                and _resolves(a.stmt.ref, v, self.loop_vars))
+                                and all(_resolves(w.stmt.ref, v, w.extents)
+                                        for w in (a, b)))
                     if not (same_ref or _ranges_disjoint(a, b)):
                         return False
             for w in ws:
-                if _resolves(w.stmt.ref, v, self.loop_vars):
+                if _resolves(w.stmt.ref, v, w.extents):
                     continue
                 if not w.stmt.accumulate:
                     return False

@@ -107,6 +107,16 @@ def test_winner_table_renders(small_report):
     assert rows[0][0] == "phase" and rows[-1][0] == "total"
 
 
+@pytest.mark.parametrize("vs", [0, -8])
+def test_bad_vector_size_rejected_before_the_digest_probes(vs, tmp_path):
+    """The RunConfig check fires before any probe runs: no
+    ZeroDivisionError, no NumPy "negative dimensions" error."""
+    with pytest.raises(ValueError,
+                       match=f"vector_size must be at least 1, got {vs}"):
+        run_autotune((3, 2, 2), machine="riscv_vec", vector_size=vs,
+                     profile="smoke", cache_dir=tmp_path / "cache")
+
+
 def test_validate_schedule_rejects_nothing_legal():
     assert validate_schedule(("const-trip-count", "loop-interchange"),
                              vector_size=8)

@@ -33,10 +33,16 @@ def test_fuzz_rungs_match_interpreter(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_fuzz_all_legal_schedules_match_interpreter(seed):
+    """Every legal schedule, and every const-trip-count one again with
+    ``strip-mine:2`` and ``strip-mine:4`` appended (both split the
+    probe's VECTOR_SIZE 8 loops)."""
     oracle = phase_output_digests(
         Probe(opt="vanilla", field_seed=seed, backend="interpreter"))
     schedules = legal_schedules()
     assert len(schedules) == 9  # every legal ordering over 3 passes
+    schedules += tuple(s + (f"strip-mine:{n}",) for s in schedules
+                       if "const-trip-count" in s for n in (2, 4))
+    assert len(schedules) == 9 + 14
     for sched in schedules:
         got = phase_output_digests(
             Probe(opt="vanilla", passes=sched, field_seed=seed,

@@ -8,8 +8,8 @@ that lets ``"numpy"`` be the default backend (same pattern as the
 pipeline-equivalence fixture that retired the hand-written kernel
 variants).
 
-The wall-clock test at the bottom is the CI ``backends`` job's speed
-assertion; it only runs with ``REPRO_PERF_GATE=1`` so tier-1 stays
+The wall-clock tests at the bottom are the CI ``backends`` job's speed
+assertions; they only run with ``REPRO_PERF_GATE=1`` so tier-1 stays
 timing-free.
 """
 
@@ -21,7 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.compiler.transforms import legal_schedules
-from repro.validation.digests import phase_output_digests
+from repro.validation.digests import (
+    phase_output_digests,
+    solver_phase_digests,
+)
 from repro.validation.probe import Probe
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "backend_equivalence.json"
@@ -67,9 +70,13 @@ def test_schedule_digests_match_frozen(frozen, sched):
     assert got == _digests(frozen)
 
 
-@pytest.mark.skipif(os.environ.get("REPRO_PERF_GATE") != "1",
-                    reason="wall-clock assertion; set REPRO_PERF_GATE=1 "
-                           "(the CI backends job does)")
+perf_gate = pytest.mark.skipif(
+    os.environ.get("REPRO_PERF_GATE") != "1",
+    reason="wall-clock assertion; set REPRO_PERF_GATE=1 "
+           "(the CI backends job does)")
+
+
+@perf_gate
 def test_numpy_beats_interpreter_by_5x():
     """The acceptance bar: the golden-check sweep at least 5x faster on
     numpy.  Measured on uncached digest runs of the standard probe
@@ -87,3 +94,27 @@ def test_numpy_beats_interpreter_by_5x():
     assert interp >= 5.0 * vec, (
         f"numpy {vec:.4f}s vs interpreter {interp:.4f}s "
         f"= {interp / vec:.1f}x (< 5x)")
+
+
+@perf_gate
+def test_strip_mined_candidates_validate_within_2x():
+    """The autotuner's validation bar: uncached assembly and solver
+    digests of ``const-trip-count,strip-mine:40`` at VECTOR_SIZE 240
+    (the riscv_vec strip family) cost at most 2x those of
+    ``const-trip-count``, because strip-mined nests join the grid."""
+    def clock(passes):
+        probe = Probe(opt="vanilla", vector_size=240, passes=passes)
+        t0 = time.perf_counter()
+        phase_output_digests(probe, mutate=lambda ks: list(ks))
+        solver_phase_digests(probe, mutate=lambda ks: list(ks))
+        return time.perf_counter() - t0
+
+    base = ("const-trip-count",)
+    strip = base + ("strip-mine:40",)
+    clock(base)  # warm imports and the pass pipeline
+    clock(strip)
+    t_base = min(clock(base) for _ in range(2))
+    t_strip = min(clock(strip) for _ in range(2))
+    assert t_strip <= 2.0 * t_base, (
+        f"strip-mine:40 {t_strip:.4f}s vs base {t_base:.4f}s "
+        f"= {t_strip / t_base:.2f}x (> 2x)")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend, plan_kernel
-from repro.backends.numpy_backend import NumpyExecutor, PlanLoop
+from repro.backends.numpy_backend import NumpyExecutor, PlanIf, PlanLoop
 from repro.compiler.interpreter import Interpreter
 from repro.compiler.ir import (
     Affine,
@@ -27,6 +27,7 @@ from repro.compiler.ir import (
     Loop,
     Ref,
     var,
+    walk_loops,
 )
 from repro.compiler.program import KernelInstance
 from repro.validation.probe import Probe
@@ -159,6 +160,119 @@ def test_unresolved_plain_store_stays_sequential():
         k, out=np.zeros(3), idx=np.array([0, 1, 0, 2, 1, 0, 2, 0]),
         b=np.arange(8.0))
     assert_identical(interp, vec, "out")
+
+
+# -- the two resolution rules: mixed radix, outer vars constant --------
+
+
+def _nest(store: Affine, accumulate: bool = False) -> Kernel:
+    """``a[store] (+)= b[4*s + i]`` over a 2x4 nest, ``s`` outer."""
+    flat = Affine((("s", 4), ("i", 1)))
+    return Kernel("k", 1, (loop([loop([
+        Assign(Ref(A, (store,)), Load(Ref(B, (flat,))),
+               accumulate=accumulate),
+    ], n=4, v="i")], n=2, v="s"),))
+
+
+def _nest_plan(kernel):
+    (outer,) = plan_kernel(kernel)
+    (inner,) = outer.body
+    (store,) = inner.body
+    return outer.vectorize, inner.vectorize, store.unique
+
+
+WIDE = np.random.default_rng(7).uniform(-1e3, 1e3, 8) * 10.0 ** np.arange(8)
+
+
+def test_mixed_radix_store_joins_both_loops():
+    """a[4*s + i] with 0 <= i < 4 is StripMine's index map: 4 exceeds
+    the span 3 of ``i``, so the dim is injective and resolves ``s`` and
+    ``i`` together.  Both loops join the grid, duplicate-free."""
+    k = _nest(Affine((("s", 4), ("i", 1))))
+    assert _nest_plan(k) == (True, True, True)
+    interp, vec = run_both(k, a=np.zeros(8), b=WIDE)
+    assert_identical(interp, vec, "a")
+
+
+@pytest.mark.parametrize("coef", [2, 3])
+def test_overlapping_plain_store_keeps_outer_loop_sequential(coef):
+    """a[2*s + i] overlaps across ``s`` (2, or 3 at the boundary, does
+    not exceed the span 3 of ``i``), so last-write-wins needs ``s`` in
+    order.  Inside one ``s`` iteration ``s`` is a constant, and ``i``
+    alone resolves the dim."""
+    k = _nest(Affine((("s", coef), ("i", 1))))
+    assert _nest_plan(k) == (False, True, True)
+    interp, vec = run_both(k, a=np.zeros(8), b=WIDE)
+    assert_identical(interp, vec, "a")
+
+
+@pytest.mark.parametrize("coef", [2, 3])
+def test_overlapping_accumulate_flattens_to_ordered_add_at(coef):
+    """The same overlapping map as an accumulate joins both loops, but
+    is not duplicate-free over the grid: ordered ``np.add.at`` replays
+    the interpreter's addition sequence."""
+    k = _nest(Affine((("s", coef), ("i", 1))), accumulate=True)
+    assert _nest_plan(k) == (True, True, False)
+    interp, vec = run_both(k, a=np.full(8, 0.1), b=WIDE)
+    assert_identical(interp, vec, "a")
+
+
+def test_same_index_stores_must_both_resolve():
+    """Two stores share the index tuple ``a[4*s + i]`` but sit in sibling
+    ``i`` loops of extent 2 and 8: only the first is injective.  The
+    plain store and the accumulate then interleave on shared locations,
+    so ``s`` must stay sequential."""
+    big = Array("a", (12,))
+    idx = (Affine((("s", 4), ("i", 1))),)
+    k = Kernel("k", 1, (loop([
+        loop([Assign(Ref(big, idx), Load(Ref(B, (var("i"),))))],
+             n=2, v="i"),
+        loop([Assign(Ref(big, idx), Load(Ref(B, (var("i"),))),
+                     accumulate=True)], n=8, v="i"),
+    ], n=2, v="s"),))
+    (outer,) = plan_kernel(k)
+    assert not outer.vectorize
+    assert all(pl.vectorize for pl in outer.body)
+    interp, vec = run_both(k, a=np.zeros(12), b=WIDE)
+    assert_identical(interp, vec, "a")
+
+
+def _sequential_vars(nodes) -> set:
+    out = set()
+    for node in nodes:
+        if isinstance(node, PlanLoop) and not node.vectorize:
+            out.add(node.stmt.var)
+        if isinstance(node, (PlanLoop, PlanIf)):
+            out |= _sequential_vars(node.body)
+    return out
+
+
+def _probe_kernels(passes) -> list:
+    """The probe's assembly and solver kernels (phases 1-12)."""
+    app = Probe(passes=passes).build_app()
+    workload, _ = app.build_solver()
+    return [*app.kernels, *workload.kernels]
+
+
+def _plan_shape(kernels) -> dict:
+    return {(k.phase, k.name): _sequential_vars(plan_kernel(k))
+            for k in kernels}
+
+
+@pytest.mark.parametrize("schedule", [
+    ("const-trip-count",),
+    ("const-trip-count", "loop-interchange", "loop-fission"),
+])
+def test_strip_mining_keeps_the_plan_shape(schedule):
+    """At the probe's VECTOR_SIZE 8, strip-mine:4 splits the ``ivect``
+    loops of all 12 kernels; the planner must leave exactly the loops
+    of the unstripped plan sequential (the scratch-reusing gauss
+    loops), in every assembly and solver kernel."""
+    stripped = _probe_kernels(schedule + ("strip-mine:4",))
+    assert len(stripped) == 12
+    assert all(any(lp.var == "ivect_strip" for lp in walk_loops(k.body))
+               for k in stripped)
+    assert _plan_shape(stripped) == _plan_shape(_probe_kernels(schedule))
 
 
 # -- guards and gathers under the grid ---------------------------------

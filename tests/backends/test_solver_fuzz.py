@@ -43,9 +43,16 @@ def test_fuzz_solver_rungs_match_interpreter(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_fuzz_all_legal_schedules_match_interpreter(seed):
+    """Every legal schedule, and every const-trip-count one again with
+    ``strip-mine:2`` and ``strip-mine:4`` appended (both split the
+    probe's VECTOR_SIZE 8 loops)."""
     oracle = solver_phase_digests(
         Probe(opt="vanilla", field_seed=seed, backend="interpreter"))
-    for sched in legal_schedules():
+    schedules = legal_schedules()
+    schedules += tuple(s + (f"strip-mine:{n}",) for s in schedules
+                       if "const-trip-count" in s for n in (2, 4))
+    assert len(schedules) == 9 + 14
+    for sched in schedules:
         got = solver_phase_digests(
             Probe(opt="vanilla", passes=sched, field_seed=seed,
                   backend="numpy"))

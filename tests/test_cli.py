@@ -141,6 +141,17 @@ def test_parser_accepts_telemetry_commands():
     assert args.job == "j00001" and args.state_dir == "svc"
 
 
+@pytest.mark.parametrize("vs", ["0", "-8"])
+def test_autotune_bad_vector_size_exits_1(vs, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["autotune", "--preset", "tiny", "--vs", vs])
+    assert code == 1
+    assert (f"[autotune] vector_size must be at least 1, got {vs}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "AUTOTUNE_report.json").exists()
+
+
 def test_trace_job_without_export_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["trace", "--job", "j99999", "--state-dir", str(tmp_path)])
