@@ -151,14 +151,14 @@ class MiniApp:
 
         m = machine or Machine(machine_params, cache_enabled=cache_enabled)
         run = RunCounters()
-        globals_data = {"elpos": self.elpos}
+        chunks = self.chunks
+        inst = self.context.instance_for_chunk(
+            chunks[0], globals_data={"elpos": self.elpos})
         with _obs_span(f"run_timed {self.opt} vs{self.vector_size}",
                        cat="run", opt=self.opt,
                        vector_size=self.vector_size):
-            for chunk in self.chunks:
-                inst = self.context.instance_for_chunk(
-                    chunk, globals_data=globals_data)
-                m.execute_program(self.compiled, inst, run)
+            m.execute_program(self.compiled, inst, run,
+                              [int(c.elements[0]) for c in chunks])
         return run
 
     def run_numeric(self, field_overrides: Optional[dict[str, np.ndarray]] = None

@@ -16,7 +16,9 @@ A :class:`MiniAppContext` owns the shared
 :class:`~repro.compiler.program.MemoryLayout` and builds one
 :class:`~repro.compiler.program.KernelInstance` per chunk: same arrays,
 same addresses, different chunk-base index constant and (for the
-interpreter/reference paths) different gather data.
+interpreter/reference paths) different gather data.  The timing path
+builds one instance and passes the machine every chunk's base instead
+(:meth:`~repro.machine.cpu.Machine.execute_program`).
 
 :func:`run_chunked` is the one semantic chunk loop of phases 1-12: the
 golden checks, the digest rungs and ``MiniApp.run_interpreted`` all
@@ -35,10 +37,7 @@ from repro.backends import get_backend
 from repro.cfd.elements import NDIME, NDOFN, NGAUS, PNODE, hex08_basis
 from repro.cfd.mesh import Chunk, Mesh, chunk_range
 from repro.compiler.ir import Array, Kernel
-from repro.compiler.program import KernelInstance, MemoryLayout
-
-#: the Affine index-constant name carrying the chunk's first element id.
-CHUNK_BASE = "__chunk0__"
+from repro.compiler.program import CHUNK_BASE, KernelInstance, MemoryLayout
 
 
 def run_chunked(context, kernels: Sequence[Kernel],

@@ -153,17 +153,17 @@ class SolverWorkload:
         from repro.obs.tracer import span as _obs_span
 
         chunks = self.context.chunks()
-        insts = [self.context.instance_for_chunk(c) for c in chunks]
+        inst = self.context.instance_for_chunk(chunks[0])
         program: list[CompiledKernel] = []
         for phase, repeats in TIMED_ITERATION_MIX:
             program.extend([self.compiled_by_phase[phase]] * repeats)
+        bases = [int(c.elements[0]) for c in chunks]
         with _obs_span(f"solve {self.opt} vs{self.vector_size}",
                        cat="run", opt=self.opt,
                        vector_size=self.vector_size,
                        iterations=iterations):
-            for _ in range(max(int(iterations), 0)):
-                for inst in insts:
-                    machine.execute_program(program, inst, run)
+            machine.execute_program(program, inst, run,
+                                    bases * max(int(iterations), 0))
         return run
 
 

@@ -10,12 +10,17 @@ The code generator lowers a (vectorized) kernel into a list of *blocks*:
 
 Blocks are *symbolic*: they reference IR :class:`~repro.compiler.ir.Ref`
 objects rather than concrete addresses.  At execution time the machine
-model pairs a block with a :class:`KernelInstance` -- the set of array
-bindings (base addresses plus, for integer index arrays, the actual
-data) -- and evaluates byte-address streams with NumPy.  This keeps the
-simulator fast (the guides this repo follows: vectorize the inner loops
-of *your own* code too) while staying line-accurate for the cache model:
-the addresses fed to the cache are the real mesh-dependent addresses.
+model pairs a program with one :class:`KernelInstance` -- the set of
+array bindings (base addresses plus, for integer index arrays, the
+actual data) -- and the sequence of chunks it runs over, which differ
+only in the :data:`CHUNK_BASE` index constant.  It evaluates
+byte-address streams with NumPy, each over its block's whole loop grid
+(:func:`loop_grid`, :func:`byte_addresses`) and, for a stream that
+depends on the chunk, over many chunks at once with the chunk base as
+one more grid axis.  This keeps the simulator fast (the guides this repo
+follows: vectorize the inner loops of *your own* code too) while staying
+line-accurate for the cache model: the addresses fed to the cache are
+the real mesh-dependent addresses.
 
 A note on ordering: within one block, the cache sees each access
 descriptor's full stream in turn rather than a per-iteration interleave.
@@ -37,6 +42,9 @@ from repro.compiler.ir import Affine, Array, IndexExpr, Indirect, Ref
 # ---------------------------------------------------------------------------
 # Memory layout / kernel instance
 # ---------------------------------------------------------------------------
+
+#: the Affine index-constant name carrying the chunk's first element id.
+CHUNK_BASE = "__chunk0__"
 
 
 class MemoryLayout:

@@ -27,11 +27,19 @@ batch are the last ``assoc`` distinct lines of each touched set.
 Batches are bounded (:data:`BATCH_LINES`), so one kernel's worth of lines
 is decided in a few large batches without holding working arrays the
 size of the whole kernel.
+
+What the hierarchy is fed.  :meth:`MemoryHierarchy.access` takes a
+kernel's streams in order, each either byte addresses or :class:`Lines`
+-- a stream its producer already collapsed to consecutive-distinct
+lines (:func:`dedup_consecutive`, or :func:`dedup_rows` for many chunks'
+copies of one stream at once), with the element count it stands for.
+The machine feeds :class:`Lines`, so a stream that is the same in every
+chunk is collapsed once per run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,6 +77,30 @@ def dedup_consecutive(lines: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(lines[1:], lines[:-1], out=keep[1:])
     return lines[keep]
+
+
+def dedup_rows(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dedup_consecutive` of every row of a 2-D array at once.
+
+    Returns the kept lines, row after row, and the offset of each row's
+    first kept line plus the total, so row ``r`` keeps
+    ``kept[offsets[r]:offsets[r + 1]]``.
+    """
+    keep = np.empty(lines.shape, dtype=bool)
+    keep[:, :1] = True
+    np.not_equal(lines[:, 1:], lines[:, :-1], out=keep[:, 1:])
+    offsets = np.zeros(lines.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
+    return lines[keep], offsets
+
+
+class Lines(NamedTuple):
+    """One access stream already collapsed to consecutive-distinct cache
+    lines (``None`` for a hierarchy that is off), and the number of
+    element accesses it stands for."""
+
+    lines: Optional[np.ndarray]
+    elements: int
 
 
 def _batches(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -266,14 +298,15 @@ class MemoryHierarchy:
             self.l2.reset()
         self.element_accesses = 0
 
-    def access(self, streams: Iterable[np.ndarray]
+    def access(self, streams: Iterable["np.ndarray | Lines"]
                ) -> list[tuple[float, int, int, int]]:
-        """Run address streams through the hierarchy, in order.
+        """Run access streams through the hierarchy, in order.
 
-        Each stream (byte addresses) is collapsed to consecutive-distinct
-        cache lines as it arrives and its addresses are dropped.  L1
-        decides the lines in batches as they accumulate; L2 decides L1's
-        misses, in order, in its own batches, lagging behind L1.
+        A stream of byte addresses is collapsed to consecutive-distinct
+        cache lines as it arrives and its addresses are dropped; a
+        :class:`Lines` stream arrives collapsed.  L1 decides the lines
+        in batches as they accumulate; L2 decides L1's misses, in order,
+        in its own batches, lagging behind L1.
 
         Returns one ``(penalty, l1_misses, l2_misses, elements)`` per
         stream.  ``penalty`` is the stream's stall cycles, computed as
@@ -287,14 +320,17 @@ class MemoryHierarchy:
         l2_miss: list[np.ndarray] = []
 
         def lines():
-            for addrs in streams:
-                addrs = np.asarray(addrs, dtype=np.int64)
-                elements.append(int(addrs.size))
-                if self.enabled:
-                    out = dedup_consecutive(addresses_to_lines(addrs, line_bytes))
+            for stream in streams:
+                if not isinstance(stream, Lines):
+                    addrs = np.asarray(stream, dtype=np.int64)
+                    stream = Lines(dedup_consecutive(addresses_to_lines(
+                        addrs, line_bytes)) if self.enabled else None,
+                        int(addrs.size))
                     del addrs  # not held while the caches run
-                    sizes.append(out.size)
-                    yield out
+                elements.append(stream.elements)
+                if self.enabled:
+                    sizes.append(stream.lines.size)
+                    yield stream.lines
 
         def l1_missed():
             for batch in _batches(lines()):

@@ -1,9 +1,9 @@
 """The machine: executes compiled kernels and accumulates counters.
 
-``Machine.execute_kernel`` walks the blocks produced by
-:mod:`repro.compiler.codegen` against one :class:`~repro.compiler.program.
-KernelInstance` (a chunk of mesh elements) and charges cycles and
-instruction counts into :class:`~repro.metrics.counters.RunCounters`.
+``Machine.execute_program`` walks the blocks produced by
+:mod:`repro.compiler.codegen` over every chunk of mesh elements of a run
+and charges cycles and instruction counts into
+:class:`~repro.metrics.counters.RunCounters`.
 
 Two performance properties of the implementation matter:
 
@@ -14,15 +14,33 @@ Two performance properties of the implementation matter:
 * cache behaviour, which is *not* homogeneous across iterations, is
   simulated from the real address streams evaluated in NumPy batches.
 
-A kernel runs in two passes.  First every access stream of the kernel,
-in block order, goes to the memory hierarchy in one call, which decides
-them all at once (one call per kernel instead of one per stream is what
-lets the vectorized cache amortize its per-call cost).  Then the blocks
-are accounted in order, each charging its base cycles and then its
-streams' stall penalties.  The cache sees the same lines in the same
-order as a walk that accessed it block by block, and every float sum is
-formed from the same terms in the same order, so the counters are
-identical to that walk's.
+A run is one loop domain over (chunk, kernel, block, access).
+:meth:`Machine.execute_program` takes a program, one
+:class:`~repro.compiler.program.KernelInstance` and the chunk-base value
+of every chunk the run visits: the chunks' instances would differ only
+in the :data:`~repro.compiler.program.CHUNK_BASE` index constant.
+:class:`RunStreams` classifies each access descriptor once per run.  A
+stream that reads neither the chunk base nor a gather table is the same
+in every chunk: it is collapsed to cache lines once and reused (within
+:data:`REUSE_LINES`).  Every other stream is evaluated once per group of
+chunks (:data:`GROUP_ACCESSES`), with the chunk base as a leading grid
+axis, and collapsed row by row.  With the cache off no line is needed:
+element counts follow from grid sizes and access weights, and only the
+gathers are evaluated, for their index checks.
+
+The chunks then run in order, each chunk's kernels in order, and each
+kernel in two passes.  First its access streams, in block order, go to
+the memory hierarchy in one call, which decides them all at once (one
+call per kernel instead of one per stream is what lets the vectorized
+cache amortize its per-call cost).  Then the blocks are accounted in
+order, each charging its base cycles, which do not depend on the chunk
+and are computed once per block, and then its streams' stall
+penalties.  The cache sees the same lines in the same order as a walk
+that built every chunk's instance and accessed the cache stream by
+stream, and every float sum is formed from the same terms in the same
+order, so the counters are identical to that walk's.
+:meth:`Machine.execute_kernel` on its own is a one-chunk run of one
+kernel.
 
 Vector length selection follows the RVV vector-length-agnostic model:
 the program asks for the remaining trip count and the machine grants at
@@ -33,17 +51,16 @@ with 256-element vectors (RISC-V VEC, SX-Aurora) and 8-element vectors
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import math
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.isa.instructions import ScalarOp
-from repro.machine.cache import MemoryHierarchy
-from repro.machine.params import MachineParams
-from repro.machine.vpu import VPUModel
-from repro.metrics.counters import PhaseCounters, RunCounters
+from repro.compiler.ir import Ref
 from repro.compiler.program import (
-    AccessDesc,
+    CHUNK_BASE,
     CompiledKernel,
     KernelInstance,
     ScalarBlock,
@@ -51,12 +68,229 @@ from repro.compiler.program import (
     byte_addresses,
     loop_grid,
 )
+from repro.isa.instructions import ScalarOp
+from repro.machine.cache import (
+    Lines,
+    MemoryHierarchy,
+    addresses_to_lines,
+    dedup_consecutive,
+    dedup_rows,
+)
+from repro.machine.params import MachineParams
+from repro.machine.vpu import VPUModel
+from repro.metrics.counters import PhaseCounters, RunCounters
+
+#: chunk-dependent element accesses of one kernel evaluated at once: the
+#: kernel's chunk group spans as many chunks as fit, and the group's lines
+#: are held until its last chunk has run.  A quick-mesh vec1 run at
+#: VECTOR_SIZE 16 (60 chunks; on a 2.1 GHz Xeon) took 0.73 s with
+#: one-chunk groups and 0.46 s at 1 << 15, for 0.2 MB more peak resident
+#: memory (42.0 MB); 1 << 17 was no faster and held 0.9 MB more.  A
+#: constant, not an option, for that reason.
+GROUP_ACCESSES = 1 << 15
+
+#: lines of chunk-invariant streams a run keeps for reuse (8 bytes each).
+#: A chunk's invariant streams are about 52k lines at VECTOR_SIZE 16, 210k
+#: at 64 and 790k at 240.  With 1 << 17 the quick-mesh vec1 run at VS 16
+#: took 0.48 s (1.14 s with no reuse), and the VS 240 run (4 chunks, the
+#: budget full) peaked at 44.7 MB against 43.8 MB with no reuse; 1 << 18
+#: added another 0.8 MB for a gain at VS 64 alone.
+REUSE_LINES = 1 << 17
 
 
 def strip_lengths(total_trip: int, vl_max: int) -> list[int]:
     """Vector lengths granted strip by strip (VLA semantics)."""
     full, rem = divmod(total_trip, vl_max)
     return [vl_max] * full + ([rem] if rem else [])
+
+
+class _ScalarCost(NamedTuple):
+    """What a scalar block charges in every chunk, before its streams'
+    stall penalties."""
+
+    cycles: float
+    instr_scalar: float
+    instr_scalar_mem: float
+    flops: float
+    accesses: int
+
+
+class _VectorCost(NamedTuple):
+    """What a vector block charges in every chunk (all its repeats),
+    before its streams' stall penalties, which ``exposure`` scales."""
+
+    vl_hist: tuple[tuple[int, int], ...]
+    #: the block's ``(opcode, vl, count)`` batches for the tracer, built
+    #: only when one is active: on 8-lane vectors there is one per strip
+    #: and instruction, and the machine keeps every block's cost.
+    records: Optional[list]
+    cycles_total: float
+    cycles_vector: float
+    instr_vector_arith: float
+    instr_vector_mem: float
+    instr_vector_ctrl: float
+    instr_vconfig: float
+    instr_scalar: float
+    instr_scalar_mem: float
+    vl_sum: float
+    flops: float
+    exposure: float
+    accesses: int
+
+
+class _Stream(NamedTuple):
+    """One access descriptor of a compiled kernel, over its block's loop
+    grid."""
+
+    ref: Ref
+    loop_vars: tuple[str, ...]
+    extents: tuple[int, ...]
+    #: element accesses per chunk: the grid size, cut by the access weight.
+    elements: int
+    #: reads a gather table (an ``Indirect`` index).
+    gathers: bool
+    #: differs from chunk to chunk: reads the chunk base or a gather table.
+    varies: bool
+
+
+def _kernel_streams(compiled: CompiledKernel) -> list[_Stream]:
+    """Every access stream of *compiled*, in execution order."""
+    out = []
+    for block in compiled.blocks:
+        if isinstance(block, VectorBlock):
+            loop_vars = block.loop_vars + (block.vec_var,)
+            extents = block.loop_extents + (block.total_trip,)
+            descs = [i.access for i in block.instrs if i.access is not None]
+        else:
+            loop_vars, extents = block.loop_vars, block.loop_extents
+            descs = block.accesses
+        size = math.prod(extents)
+        for desc in descs:
+            elements = (int(round(size * desc.weight)) if desc.weight < 1.0
+                        else size)
+            gathers = desc.ref.has_indirect()
+            out.append(_Stream(desc.ref, loop_vars, extents, elements, gathers,
+                               gathers or CHUNK_BASE in desc.ref.vars()))
+    return out
+
+
+@dataclass
+class _KernelStreams:
+    """One kernel's streams in a run, and the chunk group it is in: the
+    chunk-dependent streams' lines for chunks ``start`` on, by stream
+    index (``(kept lines, row offsets)``, :func:`dedup_rows`)."""
+
+    streams: list[_Stream]
+    #: chunks one group spans.
+    group: int
+    #: runs of the kernel per chunk (a program may repeat a kernel).
+    repeats: int
+    start: int = 0
+    #: runs of the kernel left in the group.
+    uses: int = 0
+    rows: dict[int, Optional[tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict)
+
+
+class RunStreams:
+    """The access streams of one run: a program of compiled kernels over
+    a sequence of chunks that differ only in their chunk base.
+
+    :meth:`kernel` yields one kernel's streams for one chunk, as
+    :class:`~repro.machine.cache.Lines` for
+    :meth:`~repro.machine.cache.MemoryHierarchy.access`.  A run visits
+    its chunks in order, each chunk's kernels in program order.  All the
+    work is lazy: a kernel's streams are classified on its first run,
+    and lines are built as the hierarchy consumes them.
+    """
+
+    def __init__(self, kernels: Sequence[CompiledKernel],
+                 instance: KernelInstance,
+                 chunk_bases: Optional[Sequence[int]],
+                 memory: MemoryHierarchy):
+        self.instance = instance
+        #: ``None``: one chunk, the instance's own.
+        self.bases = (None if chunk_bases is None
+                      else np.asarray(chunk_bases, dtype=np.int64))
+        self.nchunks = 1 if self.bases is None else self.bases.size
+        self.enabled = memory.enabled
+        self.line_bytes = memory.params.l1.line_bytes
+        self._repeats = Counter(id(k) for k in kernels)
+        self._kernels: dict[int, _KernelStreams] = {}
+        self._reused: dict[tuple[int, int], np.ndarray] = {}
+        self._budget = REUSE_LINES if self.enabled and self.nchunks > 1 else 0
+
+    def _classify(self, compiled: CompiledKernel) -> _KernelStreams:
+        streams = _kernel_streams(compiled)
+        varying = sum(s.elements for s in streams if s.varies)
+        group = max(1, min(self.nchunks, GROUP_ACCESSES // max(varying, 1)))
+        return _KernelStreams(streams, group, self._repeats[id(compiled)])
+
+    def kernel(self, chunk: int, compiled: CompiledKernel) -> Iterator[Lines]:
+        """*compiled*'s streams for the run's *chunk*-th chunk, in block
+        order."""
+        key = id(compiled)
+        k = self._kernels.get(key)
+        if k is None:
+            k = self._kernels[key] = self._classify(compiled)
+        if not k.uses:  # a group starts at this chunk
+            k.start, k.rows = chunk, {}
+            k.uses = (min(chunk + k.group, self.nchunks) - chunk) * k.repeats
+        row = chunk - k.start
+        for i, stream in enumerate(k.streams):
+            if stream.varies and i not in k.rows:
+                k.rows[i] = self._group_lines(stream, k)
+            if not self.enabled:
+                yield Lines(None, stream.elements)
+            elif stream.varies:
+                kept, offsets = k.rows[i]
+                yield Lines(kept[offsets[row]:offsets[row + 1]],
+                            stream.elements)
+            else:
+                yield Lines(self._invariant_lines(key, i, stream),
+                            stream.elements)
+        k.uses -= 1
+        if not k.uses:  # drop the group's lines now, not at its next run
+            k.rows = {}
+
+    def _addresses(self, stream: _Stream,
+                   bases: Optional[np.ndarray]) -> np.ndarray:
+        """The stream's byte addresses, one row per chunk base in *bases*
+        (one row, on the instance's own constants, for ``None``)."""
+        shape = stream.extents or (1,)
+        rows = 1 if bases is None else bases.size
+        env = loop_grid(stream.loop_vars, stream.extents)
+        if bases is not None:
+            env[CHUNK_BASE] = bases.reshape((rows,) + (1,) * len(shape))
+        addrs = byte_addresses(stream.ref, env, self.instance)
+        return np.broadcast_to(addrs, (rows,) + shape).reshape(
+            rows, -1)[:, :stream.elements]
+
+    def _group_lines(self, stream: _Stream, k: _KernelStreams):
+        """The lines of a chunk-dependent stream for every chunk of *k*'s
+        group.  With the cache off only a gather is evaluated, for its
+        index checks."""
+        if not (self.enabled or stream.gathers):
+            return None
+        bases = (None if self.bases is None
+                 else self.bases[k.start:k.start + k.group])
+        addrs = self._addresses(stream, bases)
+        if not self.enabled:
+            return None
+        return dedup_rows(addresses_to_lines(addrs, self.line_bytes))
+
+    def _invariant_lines(self, key: int, i: int, stream: _Stream
+                         ) -> np.ndarray:
+        """The lines of a stream that is the same in every chunk: built on
+        first use, kept while :data:`REUSE_LINES` allows."""
+        lines = self._reused.get((key, i))
+        if lines is None:
+            lines = dedup_consecutive(addresses_to_lines(
+                self._addresses(stream, None)[0], self.line_bytes))
+            if lines.size <= self._budget:
+                self._budget -= lines.size
+                self._reused[key, i] = lines
+        return lines
 
 
 class Machine:
@@ -80,6 +314,8 @@ class Machine:
         self.vpu: Optional[VPUModel] = VPUModel(params.vpu) if params.vpu else None
         self.mem = MemoryHierarchy(params.memory, enabled=cache_enabled)
         self.tracer = _obs_active()
+        #: ``id(block)`` -> ``(block, its chunk-independent charges)``.
+        self._costs: dict[int, tuple] = {}
         #: running cycle clock (advances as blocks execute).
         self.clock = 0.0
         self._cpi = {
@@ -95,34 +331,6 @@ class Machine:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _addresses(desc: AccessDesc, env_vars: tuple[str, ...],
-                   env_extents: tuple[int, ...],
-                   instance: KernelInstance) -> np.ndarray:
-        """The byte addresses one access descriptor touches, in order."""
-        env = loop_grid(env_vars, env_extents)
-        addrs = np.broadcast_to(
-            byte_addresses(desc.ref, env, instance), env_extents or (1,)
-        ).reshape(-1)
-        if desc.weight < 1.0:
-            addrs = addrs[: int(round(addrs.size * desc.weight))]
-        return addrs
-
-    def _streams(self, compiled: CompiledKernel, instance: KernelInstance):
-        """Every access stream of *compiled*, in execution order.  Nothing
-        here holds a stream once it is yielded, so each one is freed as
-        soon as the caches have collapsed it to lines."""
-        for block in compiled.blocks:
-            if isinstance(block, VectorBlock):
-                env_vars = block.loop_vars + (block.vec_var,)
-                env_extents = block.loop_extents + (block.total_trip,)
-                descs = [i.access for i in block.instrs if i.access is not None]
-            else:
-                env_vars, env_extents = block.loop_vars, block.loop_extents
-                descs = block.accesses
-            for desc in descs:
-                yield self._addresses(desc, env_vars, env_extents, instance)
-
-    @staticmethod
     def _charge(stream: tuple[float, int, int, int],
                 counters: PhaseCounters) -> float:
         """Count one stream's misses and elements; return its penalty."""
@@ -134,8 +342,18 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    def _exec_scalar_block(self, block: ScalarBlock, streams: Iterator,
-                           counters: PhaseCounters) -> None:
+    def _cost(self, block: ScalarBlock | VectorBlock
+              ) -> "_ScalarCost | _VectorCost":
+        """*block*'s chunk-independent charges, computed once per block
+        (the block is kept with them, so a reused ``id`` cannot alias)."""
+        entry = self._costs.get(id(block))
+        if entry is None or entry[0] is not block:
+            cost = (self._vector_cost(block) if isinstance(block, VectorBlock)
+                    else self._scalar_cost(block))
+            entry = self._costs[id(block)] = (block, cost)
+        return entry[1]
+
+    def _scalar_cost(self, block: ScalarBlock) -> "_ScalarCost":
         trips = block.trips
         cycles_per_iter = 0.0
         instr_per_iter = 0.0
@@ -145,16 +363,14 @@ class Machine:
             instr_per_iter += n
             if op in (ScalarOp.LOAD, ScalarOp.STORE):
                 mem_instr_per_iter += n
-        cycles = trips * cycles_per_iter
-        for _ in block.accesses:
-            cycles += self._charge(next(streams), counters)
-        counters.cycles_total += cycles
-        counters.instr_scalar += trips * instr_per_iter
-        counters.instr_scalar_mem += trips * mem_instr_per_iter
-        counters.flops += trips * block.flops_per_iter
+        return _ScalarCost(
+            cycles=trips * cycles_per_iter,
+            instr_scalar=trips * instr_per_iter,
+            instr_scalar_mem=trips * mem_instr_per_iter,
+            flops=trips * block.flops_per_iter,
+            accesses=len(block.accesses))
 
-    def _exec_vector_block(self, block: VectorBlock, streams: Iterator,
-                           counters: PhaseCounters) -> None:
+    def _vector_cost(self, block: VectorBlock) -> "_VectorCost":
         if self.vpu is None:
             raise RuntimeError(
                 f"machine {self.params.name!r} has no VPU but the program "
@@ -174,7 +390,6 @@ class Machine:
                 c = vpu.instr_cycles(desc.spec, vl)
                 cycles_vec += c
                 vl_sum += vl
-                counters.vl_hist[vl] += repeats
                 if desc.spec.is_arith:
                     n_arith += 1
                     flops += desc.spec.flops_per_elem * vl
@@ -186,14 +401,6 @@ class Machine:
         config_cycles = n_strips * (
             vpu.config_cycles() + self.params.vpu.strip_stall_cycles)
 
-        if self.tracer is not None:
-            records = [("vsetvl", vl, repeats) for vl in vls]
-            records += [
-                (desc.spec.opcode, vl, repeats)
-                for vl in vls for desc in block.instrs
-            ]
-            self.tracer.on_vector_instrs(block.phase, self.clock, records)
-
         scalar_cycles = 0.0
         scalar_instr = 0.0
         scalar_mem_instr = 0.0
@@ -203,44 +410,90 @@ class Machine:
             if op in (ScalarOp.LOAD, ScalarOp.STORE):
                 scalar_mem_instr += n * n_strips
 
-        counters.cycles_total += repeats * (cycles_vec + config_cycles + scalar_cycles)
-        counters.cycles_vector += repeats * cycles_vec
-        counters.instr_vector_arith += repeats * n_arith
-        counters.instr_vector_mem += repeats * n_mem
-        counters.instr_vector_ctrl += repeats * n_ctrl
-        counters.instr_vconfig += repeats * n_strips
-        counters.instr_scalar += repeats * scalar_instr
-        counters.instr_scalar_mem += repeats * scalar_mem_instr
-        counters.vl_sum += repeats * vl_sum
-        counters.flops += repeats * flops
-
-        # Stalls of the full (repeats x trip) address streams.
+        records = None
+        if self.tracer is not None:
+            records = [("vsetvl", vl, repeats) for vl in vls]
+            records += [(desc.spec.opcode, vl, repeats)
+                        for vl in vls for desc in block.instrs]
+        # Stalls of the full (repeats x trip) address streams are exposed
+        # by the average granted vector length.
         vl_avg = block.total_trip / n_strips
-        exposure = self.params.vpu.miss_exposure(vl_avg)
-        for desc in block.instrs:
-            if desc.access is None:
-                continue
-            penalty = self._charge(next(streams), counters)
-            counters.cycles_total += penalty * exposure
-            counters.cycles_vector += penalty * exposure
+        return _VectorCost(
+            vl_hist=tuple((vl, repeats * len(block.instrs)) for vl in vls
+                          if block.instrs),
+            records=records,
+            cycles_total=repeats * (cycles_vec + config_cycles + scalar_cycles),
+            cycles_vector=repeats * cycles_vec,
+            instr_vector_arith=repeats * n_arith,
+            instr_vector_mem=repeats * n_mem,
+            instr_vector_ctrl=repeats * n_ctrl,
+            instr_vconfig=repeats * n_strips,
+            instr_scalar=repeats * scalar_instr,
+            instr_scalar_mem=repeats * scalar_mem_instr,
+            vl_sum=repeats * vl_sum,
+            flops=repeats * flops,
+            exposure=self.params.vpu.miss_exposure(vl_avg),
+            accesses=sum(1 for d in block.instrs if d.access is not None))
+
+    def _exec_scalar_block(self, cost: "_ScalarCost", charges: Iterator,
+                           counters: PhaseCounters) -> None:
+        cycles = cost.cycles
+        for _ in range(cost.accesses):
+            cycles += self._charge(next(charges), counters)
+        counters.cycles_total += cycles
+        counters.instr_scalar += cost.instr_scalar
+        counters.instr_scalar_mem += cost.instr_scalar_mem
+        counters.flops += cost.flops
+
+    def _exec_vector_block(self, block: VectorBlock, cost: "_VectorCost",
+                           charges: Iterator, counters: PhaseCounters) -> None:
+        for vl, n in cost.vl_hist:
+            counters.vl_hist[vl] += n
+        if self.tracer is not None:
+            self.tracer.on_vector_instrs(block.phase, self.clock, cost.records)
+        counters.cycles_total += cost.cycles_total
+        counters.cycles_vector += cost.cycles_vector
+        counters.instr_vector_arith += cost.instr_vector_arith
+        counters.instr_vector_mem += cost.instr_vector_mem
+        counters.instr_vector_ctrl += cost.instr_vector_ctrl
+        counters.instr_vconfig += cost.instr_vconfig
+        counters.instr_scalar += cost.instr_scalar
+        counters.instr_scalar_mem += cost.instr_scalar_mem
+        counters.vl_sum += cost.vl_sum
+        counters.flops += cost.flops
+        for _ in range(cost.accesses):
+            penalty = self._charge(next(charges), counters)
+            counters.cycles_total += penalty * cost.exposure
+            counters.cycles_vector += penalty * cost.exposure
 
     # ------------------------------------------------------------------
 
     def execute_kernel(self, compiled: CompiledKernel, instance: KernelInstance,
-                       run: RunCounters) -> None:
-        """Execute one compiled kernel over one instance (chunk): all its
-        streams through the caches first, then the blocks in order."""
+                       run: RunCounters,
+                       streams: Optional[Iterable] = None) -> None:
+        """Execute one compiled kernel over one chunk: all its streams
+        through the caches first, then the blocks in order.
+
+        *streams* are the kernel's access streams for this chunk in block
+        order, as :meth:`RunStreams.kernel` yields them (or byte
+        addresses); by default the kernel runs alone over *instance* as
+        bound, a one-chunk run.
+        """
+        if streams is None:
+            streams = RunStreams([compiled], instance, None,
+                                 self.mem).kernel(0, compiled)
         counters = run.phase(compiled.phase)
-        streams = iter(self.mem.access(self._streams(compiled, instance)))
+        charges = iter(self.mem.access(streams))
         kernel_t0 = self.clock
         for block in compiled.blocks:
             t0 = self.clock
             before = counters.cycles_total
+            cost = self._cost(block)
             if isinstance(block, VectorBlock):
-                self._exec_vector_block(block, streams, counters)
+                self._exec_vector_block(block, cost, charges, counters)
                 kind = "vector"
             else:
-                self._exec_scalar_block(block, streams, counters)
+                self._exec_scalar_block(cost, charges, counters)
                 kind = "scalar"
             delta = counters.cycles_total - before
             self.clock += delta
@@ -250,7 +503,15 @@ class Machine:
             self.tracer.span_at(compiled.name, cat="phase", t0=kernel_t0,
                                 t1=self.clock, phase=compiled.phase)
 
-    def execute_program(self, kernels: list[CompiledKernel],
-                        instance: KernelInstance, run: RunCounters) -> None:
-        for k in kernels:
-            self.execute_kernel(k, instance, run)
+    def execute_program(self, kernels: Sequence[CompiledKernel],
+                        instance: KernelInstance, run: RunCounters,
+                        chunk_bases: Optional[Sequence[int]] = None) -> None:
+        """Execute *kernels* over every chunk of a run: for each value of
+        *chunk_bases* in turn, every kernel in order, on *instance* with
+        its chunk base set to that value.  ``None`` runs the kernels once
+        on *instance* as bound."""
+        plan = RunStreams(kernels, instance, chunk_bases, self.mem)
+        for chunk in range(plan.nchunks):
+            for compiled in kernels:
+                self.execute_kernel(compiled, instance, run,
+                                    plan.kernel(chunk, compiled))

@@ -1,8 +1,9 @@
 """Tests for the machine executor on hand-built blocks."""
 
+import numpy as np
 import pytest
 
-from repro.compiler.ir import Array, Ref, var
+from repro.compiler.ir import Array, Indirect, Ref, var
 from repro.compiler.program import (
     AccessDesc,
     CompiledKernel,
@@ -168,6 +169,26 @@ def test_access_weight_subsets_addresses(instance):
     m.execute_kernel(CompiledKernel("k", 1, [half]), inst, run)
     # only the first 32 elements (4 lines) are touched.
     assert run.phases[1].l1_misses == 4
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
+def test_out_of_range_gather_raises(cache):
+    """``a[idx[i]]`` for ``i < 8`` through a 4-entry ``idx``: the gather
+    is evaluated even when the cache is off and no line is needed."""
+    inst = KernelInstance()
+    a = Array("a", (64,), scope="local")
+    idx = Array("idx", (4,), "i8", scope="global")
+    inst.bind(a)
+    inst.bind(idx, np.arange(4))
+    gather = ScalarBlock(
+        phase=1, loop_vars=("i",), loop_extents=(8,),
+        counts=((ScalarOp.LOAD, 1.0),), flops_per_iter=0.0,
+        accesses=(AccessDesc(Ref(a, (Indirect(idx, (var("i"),)),)), False),),
+        label="gather",
+    )
+    m = Machine(RISCV_VEC, cache_enabled=cache)
+    with pytest.raises(IndexError):
+        m.execute_kernel(CompiledKernel("k", 1, [gather]), inst, RunCounters())
 
 
 def test_clock_advances_with_blocks(instance):
