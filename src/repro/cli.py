@@ -132,13 +132,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_backend(p)
 
 
+class _BadConfig(ValueError):
+    """A single-run command's flags describe no valid RunConfig."""
+
+
 def _run_config(args) -> RunConfig:
-    """The one RunConfig a single-run command describes."""
-    return RunConfig.from_kwargs(mesh=args.mesh, machine=args.machine,
-                                 opt=args.opt, vs=args.vs,
-                                 field_seed=getattr(args, "seed", 0),
-                                 backend=getattr(args, "backend", "numpy"),
-                                 solve=getattr(args, "solve", False))
+    """The one RunConfig a single-run command describes.  A value
+    ``RunConfig`` rejects raises :class:`_BadConfig`, which :func:`main`
+    reports as the command's error."""
+    try:
+        return RunConfig.from_kwargs(mesh=args.mesh, machine=args.machine,
+                                     opt=args.opt, vs=args.vs,
+                                     field_seed=getattr(args, "seed", 0),
+                                     backend=getattr(args, "backend", "numpy"),
+                                     solve=getattr(args, "solve", False))
+    except ValueError as exc:
+        raise _BadConfig(str(exc)) from None
 
 
 def _jobs(args) -> int:
@@ -1168,7 +1177,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "jobs": lambda: _cmd_jobs(args),
         "top": lambda: _cmd_top(args),
     }
-    return handlers[args.command]()
+    try:
+        return handlers[args.command]()
+    except _BadConfig as exc:
+        print(f"[{args.command}] {exc}", file=sys.stderr, flush=True)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

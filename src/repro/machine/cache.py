@@ -24,21 +24,29 @@ are that close to the top of its LRU stack, so the counting work is at
 most ``assoc`` times the batch length.  The resident lines after the
 batch are the last ``assoc`` distinct lines of each touched set.
 
-Batches are bounded (:data:`BATCH_LINES`), so one kernel's worth of lines
-is decided in a few large batches without holding working arrays the
-size of the whole kernel.
+Batches are bounded (:data:`BATCH_LINES`), so a whole run's lines are
+decided in large batches without holding working arrays the size of the
+run.
 
-What the hierarchy is fed.  :meth:`MemoryHierarchy.access` takes a
-kernel's streams in order, each either byte addresses or :class:`Lines`
--- a stream its producer already collapsed to consecutive-distinct
-lines (:func:`dedup_consecutive`, or :func:`dedup_rows` for many chunks'
-copies of one stream at once), with the element count it stands for.
-The machine feeds :class:`Lines`, so a stream that is the same in every
-chunk is collapsed once per run.
+What the hierarchy is fed.  :meth:`MemoryHierarchy.access` takes a run's
+streams in order -- every chunk's kernels, each kernel's streams -- in
+one call, each stream either byte addresses or :class:`Lines`: a stream
+its producer already collapsed to consecutive-distinct lines, with the
+element count it stands for.  A producer collapses an affine stream of
+at most one line's stride without its element addresses
+(:func:`strided_lines`), and any other stream from them
+(:func:`dedup_consecutive`, or :func:`dedup_rows` for many chunks'
+copies of one stream at once).  Batches run across stream, kernel and
+chunk boundaries; the call returns each stream's misses as
+:class:`Charges`, a few arrays however many streams the run has.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -50,8 +58,14 @@ from repro.machine.params import CacheParams, MemoryParams
 #: to vanish, but a batch's working arrays grow with it: with whole-kernel
 #: batches (up to ~340k lines) the peak resident memory of a quick-mesh
 #: run rose from 87 to 100 MB, with 64k-line batches to 90 MB, while 16k
-#: lines keep it at 87 MB.  A constant, not an option, for that reason.
+#: lines keep it at 87 MB.  A constant, not an option, for that reason;
+#: read at call time, so a test can shrink it.
 BATCH_LINES = 1 << 14
+
+#: streams whose :class:`Charges` become Python numbers at a time.
+#: Converting all 158,400 streams of a full-mesh scalar@16 run at once
+#: raised its peak resident memory from 69.5 to 72.6 MB (2.1 GHz Xeon).
+CHARGE_ROWS = 1 << 12
 
 
 def addresses_to_lines(addrs: np.ndarray, line_bytes: int) -> np.ndarray:
@@ -94,6 +108,44 @@ def dedup_rows(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lines[keep], offsets
 
 
+def strided_lines(starts: np.ndarray, stride: int, length: int, count: int,
+                  line_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dedup_rows` of strided streams, without their addresses.
+
+    Each row of *starts* is one stream: the byte address of the first
+    element of each of its runs, in order.  A run is *length* elements
+    *stride* bytes apart, and the stream is the first *count* elements
+    of its runs, so its last run may be cut short.  With ``|stride|`` at
+    most *line_bytes* a run never skips a line: its consecutive-distinct
+    lines are the range from its first element's line to its last's, and
+    it repeats a line of the run before it only at the seam.
+    """
+    if abs(stride) > line_bytes:
+        raise ValueError(f"stride {stride} is wider than a {line_bytes}-byte "
+                         "line")
+    offsets = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+    if count == 0:
+        return np.zeros(0, dtype=np.int64), offsets
+    runs = -(-count // length)
+    elems = np.full(runs, length, dtype=np.int64)
+    elems[-1] = count - (runs - 1) * length
+    first = addresses_to_lines(starts[:, :runs], line_bytes)
+    last = addresses_to_lines(starts[:, :runs] + stride * (elems - 1),
+                              line_bytes)
+    step = -1 if stride < 0 else 1
+    size = np.abs(last - first) + 1
+    # a run whose first line is the line the run before it ended on.
+    seam = first[:, 1:] == last[:, :-1]
+    first[:, 1:] += step * seam
+    size[:, 1:] -= seam
+    np.cumsum(size.sum(axis=1), out=offsets[1:])
+    size = size.reshape(-1)
+    begin = np.cumsum(size) - size
+    lines = np.repeat(first.reshape(-1) - step * begin, size)
+    lines += step * np.arange(lines.size, dtype=np.int64)
+    return lines, offsets
+
+
 class Lines(NamedTuple):
     """One access stream already collapsed to consecutive-distinct cache
     lines (``None`` for a hierarchy that is off), and the number of
@@ -101,6 +153,28 @@ class Lines(NamedTuple):
 
     lines: Optional[np.ndarray]
     elements: int
+
+
+@dataclass(frozen=True, eq=False)
+class Charges:
+    """What one :meth:`MemoryHierarchy.access` call charged each of its
+    streams, in order, as four arrays: stall cycles (``penalty``), L1
+    and L2 misses, and element accesses.  Iterating yields one
+    ``(penalty, l1_misses, l2_misses, elements)`` tuple of Python
+    numbers per stream, converting :data:`CHARGE_ROWS` streams at a
+    time."""
+
+    penalty: np.ndarray
+    l1_misses: np.ndarray
+    l2_misses: np.ndarray
+    elements: np.ndarray
+
+    def __iter__(self) -> Iterator[tuple[float, int, int, int]]:
+        arrays = (self.penalty, self.l1_misses, self.l2_misses,
+                  self.elements)
+        return chain.from_iterable(
+            zip(*(a[start:start + CHARGE_ROWS].tolist() for a in arrays))
+            for start in range(0, self.elements.size, CHARGE_ROWS))
 
 
 def _batches(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -120,11 +194,41 @@ def _batches(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         yield np.concatenate(pending)
 
 
-def _misses_before(masks: list[np.ndarray], bounds: np.ndarray) -> np.ndarray:
-    """How many of one level's accesses missed before each of *bounds*
-    (positions in the level's input); *masks* are its miss masks."""
-    missed = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *masks]))
-    return np.searchsorted(missed, bounds)
+class _Tally:
+    """One cache level's misses before each stream boundary of its input.
+
+    The boundaries arrive in order as the streams do, and each is
+    resolved by the batch that decides the line before it, or at the
+    end.  Both sequences are ``array("q")``: a run can have a hundred
+    thousand streams.
+    """
+
+    def __init__(self, bounds: Optional[array] = None):
+        self.bounds = array("q") if bounds is None else bounds
+        #: misses before each resolved boundary.
+        self.before = array("q")
+        self.decided = 0
+        self.missed = 0
+
+    def add(self, miss: np.ndarray) -> None:
+        """Account the level's next decided batch, by its miss mask."""
+        start, stop = self.decided, self.decided + miss.size
+        lo = len(self.before)
+        hi = bisect_right(self.bounds, stop, lo)
+        missed = np.flatnonzero(miss)
+        if hi > lo:
+            at = np.frombuffer(self.bounds[lo:hi], dtype=np.int64) - start
+            self.before.frombytes(
+                (np.searchsorted(missed, at) + self.missed).tobytes())
+        self.decided = stop
+        self.missed += missed.size
+
+    def misses(self) -> np.ndarray:
+        """Resolve the boundaries at the end of the input; return each
+        stream's misses."""
+        self.before.extend([self.missed] * (len(self.bounds)
+                                            - len(self.before)))
+        return np.diff(np.frombuffer(self.before, dtype=np.int64), prepend=0)
 
 
 class Cache:
@@ -298,28 +402,28 @@ class MemoryHierarchy:
             self.l2.reset()
         self.element_accesses = 0
 
-    def access(self, streams: Iterable["np.ndarray | Lines"]
-               ) -> list[tuple[float, int, int, int]]:
+    def access(self, streams: Iterable["np.ndarray | Lines"]) -> Charges:
         """Run access streams through the hierarchy, in order.
 
         A stream of byte addresses is collapsed to consecutive-distinct
         cache lines as it arrives and its addresses are dropped; a
         :class:`Lines` stream arrives collapsed.  L1 decides the lines
-        in batches as they accumulate; L2 decides L1's misses, in order,
-        in its own batches, lagging behind L1.
+        in batches as they accumulate, across stream boundaries; L2
+        decides L1's misses, in order, in its own batches, lagging
+        behind L1.
 
-        Returns one ``(penalty, l1_misses, l2_misses, elements)`` per
-        stream.  ``penalty`` is the stream's stall cycles, computed as
+        Returns every stream's :class:`Charges`.  A stream's penalty is
         ``l1_misses * l1.miss_penalty``, plus ``l2_misses *
-        l2.miss_penalty`` when the stream missed L1.
+        l2.miss_penalty`` when there is an L2.
         """
         line_bytes = self.params.l1.line_bytes
-        elements: list[int] = []
-        sizes: list[int] = []
-        l1_miss: list[np.ndarray] = []
-        l2_miss: list[np.ndarray] = []
+        elements = array("q")
+        l1 = _Tally()
+        # L2's input is L1's misses: its boundaries are L1's tallies.
+        l2 = _Tally(l1.before)
 
         def lines():
+            end = 0
             for stream in streams:
                 if not isinstance(stream, Lines):
                     addrs = np.asarray(stream, dtype=np.int64)
@@ -329,13 +433,14 @@ class MemoryHierarchy:
                     del addrs  # not held while the caches run
                 elements.append(stream.elements)
                 if self.enabled:
-                    sizes.append(stream.lines.size)
+                    end += stream.lines.size
+                    l1.bounds.append(end)
                     yield stream.lines
 
         def l1_missed():
             for batch in _batches(lines()):
                 miss = self.l1.access_lines(batch)
-                l1_miss.append(miss)
+                l1.add(miss)
                 yield batch[miss]
 
         if self.l2 is None:
@@ -343,20 +448,20 @@ class MemoryHierarchy:
                 pass
         else:
             for batch in _batches(l1_missed()):
-                l2_miss.append(self.l2.access_lines(batch))
-        self.element_accesses += sum(elements)
+                l2.add(self.l2.access_lines(batch))
+        counts = np.array(elements, dtype=np.int64)
+        self.element_accesses += int(counts.sum())
         if not self.enabled:
-            return [(0.0, 0, 0, n) for n in elements]
+            zeros = np.zeros(counts.size, dtype=np.int64)
+            return Charges(zeros.astype(np.float64), zeros, zeros, counts)
 
-        bounds = _misses_before(l1_miss, np.cumsum([0, *sizes]))
-        l1_misses = np.diff(bounds)
+        l1_misses = l1.misses()  # first: it completes L2's boundaries
         penalty = l1_misses * self.params.l1.miss_penalty
         l2_misses = np.zeros_like(l1_misses)
         if self.l2 is not None:
-            l2_misses = np.diff(_misses_before(l2_miss, bounds))
+            l2_misses = l2.misses()
             penalty += l2_misses * self.params.l2.miss_penalty
-        return list(zip(penalty.tolist(), l1_misses.tolist(),
-                        l2_misses.tolist(), elements))
+        return Charges(penalty, l1_misses, l2_misses, counts)
 
     def check_invariants(self) -> list[str]:
         """Hierarchy-wide accounting invariants (empty when healthy):

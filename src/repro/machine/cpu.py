@@ -28,16 +28,24 @@ axis, and collapsed row by row.  With the cache off no line is needed:
 element counts follow from grid sizes and access weights, and only the
 gathers are evaluated, for their index checks.
 
-The chunks then run in order, each chunk's kernels in order, and each
-kernel in two passes.  First its access streams, in block order, go to
-the memory hierarchy in one call, which decides them all at once (one
-call per kernel instead of one per stream is what lets the vectorized
-cache amortize its per-call cost).  Then the blocks are accounted in
-order, each charging its base cycles, which do not depend on the chunk
-and are computed once per block, and then its streams' stall
-penalties.  The cache sees the same lines in the same order as a walk
-that built every chunk's instance and accessed the cache stream by
-stream, and every float sum is formed from the same terms in the same
+Each stream's own geometry picks how it becomes lines.  One that reads
+no gather table and strides at most half a line along its innermost
+loop takes the closed form
+(:func:`~repro.machine.cache.strided_lines`): one address per row of
+its grid, and each row is the range of lines between its first and last
+element's.  Any other stream is evaluated element by element, and its
+lines are shifted out of the addresses and de-duplicated.
+
+A run makes one call to the memory hierarchy: every stream of every
+chunk's kernels, in run order, which lets the vectorized cache decide
+full batches across kernel and chunk boundaries.  The call returns each
+stream's misses (:class:`~repro.machine.cache.Charges`).  Then the
+chunks run in order, each chunk's kernels in order, each kernel's
+blocks in order: a block charges its base cycles, which do not depend
+on the chunk and are computed once per block, and then its streams'
+stall penalties.  The cache sees the same lines in the same order as a
+walk that built every chunk's instance and accessed the cache kernel by
+kernel, and every float sum is formed from the same terms in the same
 order, so the counters are identical to that walk's.
 :meth:`Machine.execute_kernel` on its own is a one-chunk run of one
 kernel.
@@ -54,7 +62,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,8 +81,8 @@ from repro.machine.cache import (
     Lines,
     MemoryHierarchy,
     addresses_to_lines,
-    dedup_consecutive,
     dedup_rows,
+    strided_lines,
 )
 from repro.machine.params import MachineParams
 from repro.machine.vpu import VPUModel
@@ -151,6 +159,9 @@ class _Stream(NamedTuple):
     gathers: bool
     #: differs from chunk to chunk: reads the chunk base or a gather table.
     varies: bool
+    #: byte stride along the innermost loop (0 with no loop); ``None``
+    #: for a gather.
+    stride: Optional[int]
 
 
 def _kernel_streams(compiled: CompiledKernel) -> list[_Stream]:
@@ -166,11 +177,18 @@ def _kernel_streams(compiled: CompiledKernel) -> list[_Stream]:
             descs = block.accesses
         size = math.prod(extents)
         for desc in descs:
+            ref = desc.ref
             elements = (int(round(size * desc.weight)) if desc.weight < 1.0
                         else size)
-            gathers = desc.ref.has_indirect()
-            out.append(_Stream(desc.ref, loop_vars, extents, elements, gathers,
-                               gathers or CHUNK_BASE in desc.ref.vars()))
+            gathers = ref.has_indirect()
+            if gathers:
+                stride = None
+            elif loop_vars:
+                stride = ref.stride_along(loop_vars[-1]) * ref.array.itemsize
+            else:
+                stride = 0
+            out.append(_Stream(ref, loop_vars, extents, elements, gathers,
+                               gathers or CHUNK_BASE in ref.vars(), stride))
     return out
 
 
@@ -185,6 +203,10 @@ class _KernelStreams:
     group: int
     #: runs of the kernel per chunk (a program may repeat a kernel).
     repeats: int
+    #: the streams as a hierarchy that is off takes them, element counts
+    #: alone: built once, where a new ``Lines`` per stream and chunk took
+    #: a quarter of a quick-mesh scalar@16 run with the cache off.
+    bare: list[Lines]
     start: int = 0
     #: runs of the kernel left in the group.
     uses: int = 0
@@ -196,18 +218,19 @@ class RunStreams:
     """The access streams of one run: a program of compiled kernels over
     a sequence of chunks that differ only in their chunk base.
 
-    :meth:`kernel` yields one kernel's streams for one chunk, as
+    :meth:`run` yields every stream of the run, chunk by chunk and each
+    chunk's kernels in program order, as
     :class:`~repro.machine.cache.Lines` for
-    :meth:`~repro.machine.cache.MemoryHierarchy.access`.  A run visits
-    its chunks in order, each chunk's kernels in program order.  All the
-    work is lazy: a kernel's streams are classified on its first run,
-    and lines are built as the hierarchy consumes them.
+    :meth:`~repro.machine.cache.MemoryHierarchy.access`.  All the work is
+    lazy: a kernel's streams are classified on its first run, and lines
+    are built as the hierarchy consumes them.
     """
 
     def __init__(self, kernels: Sequence[CompiledKernel],
                  instance: KernelInstance,
                  chunk_bases: Optional[Sequence[int]],
                  memory: MemoryHierarchy):
+        self.kernels = kernels
         self.instance = instance
         #: ``None``: one chunk, the instance's own.
         self.bases = (None if chunk_bases is None
@@ -217,80 +240,111 @@ class RunStreams:
         self.line_bytes = memory.params.l1.line_bytes
         self._repeats = Counter(id(k) for k in kernels)
         self._kernels: dict[int, _KernelStreams] = {}
-        self._reused: dict[tuple[int, int], np.ndarray] = {}
+        self._reused: dict[tuple[int, int], Lines] = {}
         self._budget = REUSE_LINES if self.enabled and self.nchunks > 1 else 0
 
     def _classify(self, compiled: CompiledKernel) -> _KernelStreams:
-        streams = _kernel_streams(compiled)
-        varying = sum(s.elements for s in streams if s.varies)
-        group = max(1, min(self.nchunks, GROUP_ACCESSES // max(varying, 1)))
-        return _KernelStreams(streams, group, self._repeats[id(compiled)])
-
-    def kernel(self, chunk: int, compiled: CompiledKernel) -> Iterator[Lines]:
-        """*compiled*'s streams for the run's *chunk*-th chunk, in block
-        order."""
+        """*compiled*'s streams and chunk group, built on first use."""
         key = id(compiled)
         k = self._kernels.get(key)
         if k is None:
-            k = self._kernels[key] = self._classify(compiled)
-        if not k.uses:  # a group starts at this chunk
-            k.start, k.rows = chunk, {}
-            k.uses = (min(chunk + k.group, self.nchunks) - chunk) * k.repeats
-        row = chunk - k.start
-        for i, stream in enumerate(k.streams):
-            if stream.varies and i not in k.rows:
-                k.rows[i] = self._group_lines(stream, k)
-            if not self.enabled:
-                yield Lines(None, stream.elements)
-            elif stream.varies:
-                kept, offsets = k.rows[i]
-                yield Lines(kept[offsets[row]:offsets[row + 1]],
-                            stream.elements)
-            else:
-                yield Lines(self._invariant_lines(key, i, stream),
-                            stream.elements)
-        k.uses -= 1
-        if not k.uses:  # drop the group's lines now, not at its next run
-            k.rows = {}
+            streams = _kernel_streams(compiled)
+            varying = sum(s.elements for s in streams if s.varies)
+            group = max(1, min(self.nchunks,
+                               GROUP_ACCESSES // max(varying, 1)))
+            k = self._kernels[key] = _KernelStreams(
+                streams, group, self._repeats[key],
+                [Lines(None, s.elements) for s in streams])
+        return k
 
-    def _addresses(self, stream: _Stream,
-                   bases: Optional[np.ndarray]) -> np.ndarray:
-        """The stream's byte addresses, one row per chunk base in *bases*
-        (one row, on the instance's own constants, for ``None``)."""
-        shape = stream.extents or (1,)
+    def run(self) -> Iterator[Lines]:
+        """Every stream of the run, in run order: chunk by chunk, each
+        chunk's kernels in program order, each kernel's streams in block
+        order."""
+        for chunk in range(self.nchunks):
+            for compiled in self.kernels:
+                key = id(compiled)
+                k = self._classify(compiled)
+                if not k.uses:  # a group starts at this chunk
+                    k.start, k.rows = chunk, {}
+                    k.uses = (min(chunk + k.group, self.nchunks)
+                              - chunk) * k.repeats
+                row = chunk - k.start
+                for i, stream in enumerate(k.streams):
+                    if stream.varies and i not in k.rows:
+                        k.rows[i] = self._group_lines(stream, k)
+                    if not self.enabled:
+                        yield k.bare[i]
+                    elif stream.varies:
+                        kept, offsets = k.rows[i]
+                        yield Lines(kept[offsets[row]:offsets[row + 1]],
+                                    stream.elements)
+                    else:
+                        yield self._invariant(key, i, stream)
+                k.uses -= 1
+                if not k.uses:  # drop the group's lines now, not later
+                    k.rows = {}
+
+    def _grid(self, stream: _Stream, shape: tuple[int, ...],
+              bases: Optional[np.ndarray]) -> np.ndarray:
+        """The stream's byte addresses over the grid *shape* of its loops,
+        one row per chunk base in *bases* (one row, on the instance's own
+        constants, for ``None``)."""
         rows = 1 if bases is None else bases.size
-        env = loop_grid(stream.loop_vars, stream.extents)
+        env = loop_grid(stream.loop_vars, shape)
         if bases is not None:
             env[CHUNK_BASE] = bases.reshape((rows,) + (1,) * len(shape))
         addrs = byte_addresses(stream.ref, env, self.instance)
-        return np.broadcast_to(addrs, (rows,) + shape).reshape(
-            rows, -1)[:, :stream.elements]
+        return np.broadcast_to(addrs, (rows,) + shape).reshape(rows, -1)
+
+    def _addresses(self, stream: _Stream,
+                   bases: Optional[np.ndarray]) -> np.ndarray:
+        """Every element address of the stream, a row per chunk."""
+        return self._grid(stream, stream.extents or (1,),
+                          bases)[:, :stream.elements]
+
+    def _lines(self, stream: _Stream, bases: Optional[np.ndarray]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The stream's lines, a row per chunk (``(kept lines, row
+        offsets)``, :func:`~repro.machine.cache.dedup_rows`): in closed
+        form with no gather and at most half a line's stride, else from
+        every element address."""
+        if stream.stride is None or 2 * abs(stream.stride) > self.line_bytes:
+            return dedup_rows(addresses_to_lines(
+                self._addresses(stream, bases), self.line_bytes))
+        return self._strided_lines(stream, bases)
+
+    def _strided_lines(self, stream: _Stream, bases: Optional[np.ndarray]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_lines` from the address of each innermost row's first
+        element alone."""
+        *outer, inner = stream.extents or (1,)
+        starts = self._grid(stream, (*outer, 1), bases)
+        return strided_lines(starts, stream.stride, inner, stream.elements,
+                             self.line_bytes)
 
     def _group_lines(self, stream: _Stream, k: _KernelStreams):
         """The lines of a chunk-dependent stream for every chunk of *k*'s
         group.  With the cache off only a gather is evaluated, for its
         index checks."""
-        if not (self.enabled or stream.gathers):
-            return None
         bases = (None if self.bases is None
                  else self.bases[k.start:k.start + k.group])
-        addrs = self._addresses(stream, bases)
-        if not self.enabled:
-            return None
-        return dedup_rows(addresses_to_lines(addrs, self.line_bytes))
+        if self.enabled:
+            return self._lines(stream, bases)
+        if stream.gathers:
+            self._addresses(stream, bases)
+        return None
 
-    def _invariant_lines(self, key: int, i: int, stream: _Stream
-                         ) -> np.ndarray:
-        """The lines of a stream that is the same in every chunk: built on
-        first use, kept while :data:`REUSE_LINES` allows."""
-        lines = self._reused.get((key, i))
-        if lines is None:
-            lines = dedup_consecutive(addresses_to_lines(
-                self._addresses(stream, None)[0], self.line_bytes))
-            if lines.size <= self._budget:
-                self._budget -= lines.size
-                self._reused[key, i] = lines
-        return lines
+    def _invariant(self, key: int, i: int, stream: _Stream) -> Lines:
+        """A stream that is the same in every chunk: built on first use,
+        kept while :data:`REUSE_LINES` allows."""
+        kept = self._reused.get((key, i))
+        if kept is None:
+            kept = Lines(self._lines(stream, None)[0], stream.elements)
+            if kept.lines.size <= self._budget:
+                self._budget -= kept.lines.size
+                self._reused[key, i] = kept
+        return kept
 
 
 class Machine:
@@ -470,20 +524,21 @@ class Machine:
 
     def execute_kernel(self, compiled: CompiledKernel, instance: KernelInstance,
                        run: RunCounters,
-                       streams: Optional[Iterable] = None) -> None:
-        """Execute one compiled kernel over one chunk: all its streams
-        through the caches first, then the blocks in order.
+                       charges: Optional[Iterator[tuple[float, int, int, int]]]
+                       = None) -> None:
+        """Account one compiled kernel over one chunk, block by block.
 
-        *streams* are the kernel's access streams for this chunk in block
-        order, as :meth:`RunStreams.kernel` yields them (or byte
-        addresses); by default the kernel runs alone over *instance* as
-        bound, a one-chunk run.
+        *charges* iterates the run's
+        :class:`~repro.machine.cache.Charges` from this kernel's first
+        stream in this chunk on, and the kernel takes one per access
+        stream, in block order.  By default the kernel runs alone over
+        *instance* as bound, a one-chunk run, and its streams go through
+        the caches first.
         """
-        if streams is None:
-            streams = RunStreams([compiled], instance, None,
-                                 self.mem).kernel(0, compiled)
+        if charges is None:
+            charges = iter(self.mem.access(
+                RunStreams([compiled], instance, None, self.mem).run()))
         counters = run.phase(compiled.phase)
-        charges = iter(self.mem.access(streams))
         kernel_t0 = self.clock
         for block in compiled.blocks:
             t0 = self.clock
@@ -509,9 +564,13 @@ class Machine:
         """Execute *kernels* over every chunk of a run: for each value of
         *chunk_bases* in turn, every kernel in order, on *instance* with
         its chunk base set to that value.  ``None`` runs the kernels once
-        on *instance* as bound."""
+        on *instance* as bound.
+
+        Every stream of the run goes through the memory hierarchy in one
+        call; then each (chunk, kernel) is accounted from its streams'
+        charges."""
         plan = RunStreams(kernels, instance, chunk_bases, self.mem)
-        for chunk in range(plan.nchunks):
+        charges = iter(self.mem.access(plan.run()))
+        for _ in range(plan.nchunks):
             for compiled in kernels:
-                self.execute_kernel(compiled, instance, run,
-                                    plan.kernel(chunk, compiled))
+                self.execute_kernel(compiled, instance, run, charges)

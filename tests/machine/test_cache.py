@@ -88,7 +88,7 @@ def test_hierarchy_l2_catches_l1_evictions():
 def test_hierarchy_disabled_costs_nothing():
     params = MemoryParams(l1=CacheParams("L1", 512, assoc=2))
     h = MemoryHierarchy(params, enabled=False)
-    assert h.access([np.arange(100) * 64]) == [(0.0, 0, 0, 100)]
+    assert list(h.access([np.arange(100) * 64])) == [(0.0, 0, 0, 100)]
     assert h.l1.accesses == 0 and h.l1.misses == 0
     assert h.element_accesses == 100
 

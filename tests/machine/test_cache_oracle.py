@@ -212,7 +212,7 @@ def assert_hierarchy_matches(params, calls, enabled=True):
     hier = MemoryHierarchy(params, enabled=enabled)
     oracle = OracleHierarchy(params, enabled=enabled)
     for streams in calls:
-        got = hier.access(iter(streams))
+        got = list(hier.access(iter(streams)))
         want = [(*oracle.access(s), len(s)) for s in streams]
         # exact: the penalties must be the same doubles, not close ones.
         assert got == want
@@ -279,3 +279,52 @@ def test_hierarchy_matches_oracle_beyond_one_batch(params):
         rng.integers(0, 4 * span, size=n // 3),
     ]
     assert_hierarchy_matches(params, [streams[:2], streams[2:]])
+
+
+# -- one call for a whole run: batches across kernels ----------------------
+
+
+def assert_run_matches(params, kernels):
+    """One ``access`` call carries every kernel's streams, in order; the
+    oracle sees them stream by stream."""
+    hier, oracle = MemoryHierarchy(params), OracleHierarchy(params)
+    got = list(hier.access(s for streams in kernels for s in streams))
+    want = [(*oracle.access(s), len(s)) for streams in kernels
+            for s in streams]
+    assert got == want
+    assert hier.element_accesses == oracle.element_accesses
+    assert (hier.l1.accesses, hier.l1.misses) == (oracle.l1.accesses,
+                                                  oracle.l1.misses)
+    if params.l2 is not None:
+        assert (hier.l2.accesses, hier.l2.misses) == (
+            oracle.l2.accesses, oracle.l2.misses)
+
+
+@settings(deadline=None, max_examples=60)
+@given(params=st.sampled_from(HIERARCHIES), kernels=address_streams(),
+       batch_lines=st.integers(1, 16))
+def test_one_call_for_many_kernels_matches_oracle(params, kernels,
+                                                  batch_lines):
+    with mock.patch.object(cache_mod, "BATCH_LINES", batch_lines):
+        assert_run_matches(params, kernels)
+
+
+@pytest.mark.parametrize("params", HIERARCHIES[:2], ids=["tiny",
+                                                         "tiny-l1-only"])
+def test_empty_streams_at_a_batch_boundary(params):
+    """Batches of 8 lines.  The first kernel's two streams of cold lines
+    fill L1's first batch, and L2's, exactly; the empty streams after
+    them arrive once both are decided.  The second kernel's first lines
+    hit in L1, so L1 and L2 boundaries part.  The run ends on a full L1
+    batch and then an empty stream, which no batch decides."""
+    def lines(first, n):
+        return (first + np.arange(n, dtype=np.int64)) * 64
+
+    empty = np.zeros(0, dtype=np.int64)
+    kernels = [
+        [lines(0, 5), lines(100, 3), empty, empty],
+        [empty, lines(100, 3), lines(200, 5), empty],
+        [empty, lines(300, 16), empty, lines(0, 8), empty],
+    ]
+    with mock.patch.object(cache_mod, "BATCH_LINES", 8):
+        assert_run_matches(params, kernels)

@@ -152,6 +152,23 @@ def test_autotune_bad_vector_size_exits_1(vs, tmp_path, capsys,
     assert not (tmp_path / "AUTOTUNE_report.json").exists()
 
 
+@pytest.mark.parametrize("vs", ["0", "-8"])
+@pytest.mark.parametrize("command", ["remarks", "passes", "advise",
+                                     "codesign", "trace", "roofline",
+                                     "submit"])
+def test_single_run_bad_vector_size_exits_1(command, vs, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--mesh", "tiny", "--vs", vs]
+    if command == "submit":
+        argv += ["--socket", str(tmp_path / "absent.sock")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"[{command}] vector_size must be at least 1, got {vs}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_job_without_export_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["trace", "--job", "j99999", "--state-dir", str(tmp_path)])
