@@ -85,6 +85,18 @@ def _mesh_dims(name: str) -> tuple[int, int, int]:
     return resolve_mesh(name)
 
 
+def _threshold(text: str) -> float:
+    """``--threshold``: a finite number ``>= 0``, checked before anything
+    is simulated."""
+    from repro.obs import gate
+
+    try:
+        return gate.check_threshold(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number >= 0") from None
+
+
 def _add_mesh(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", choices=("tiny", "quick", "full"),
                    default="quick",
@@ -326,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate the fresh per-phase cycle counts against "
                         "this committed bench report; exit 1 on any "
                         "phase drifting past --threshold")
-    p.add_argument("--threshold", type=float, default=None, metavar="FRAC",
+    p.add_argument("--threshold", type=_threshold, default=None,
+                   metavar="FRAC",
                    help="relative per-phase tolerance for --baseline "
                         "(default 0.10 = 10%%)")
     p.add_argument("--schedule", action="append", default=None,

@@ -39,6 +39,22 @@ at most one line's stride without its element addresses
 copies of one stream at once).  Batches run across stream, kernel and
 chunk boundaries; the call returns each stream's misses as
 :class:`Charges`, a few arrays however many streams the run has.
+
+Weighted lines.  A producer may fold the loops of a stream that repeat
+its addresses (:mod:`repro.machine.cpu`): it keeps three iterations of
+each and gives every line of the third a weight, the iterations it
+stands for.  That is exact by the same stack property.  A level fed a
+repeating period decides identically from the period's second copy on,
+and ends every copy in the state it ended the first in: a set holds the
+last ``assoc`` distinct lines it was sent.  L1's input repeats from the
+first iteration, but L2's input, L1's misses, only from the second, so
+the third iteration decides as every later one at both levels.  A level
+decides a weighted line once, like any other, and counts it as
+``weight`` accesses and, if it missed, ``weight`` misses: the levels'
+``accesses`` and ``misses``, each stream's :class:`Charges` and the
+final resident lines all equal the unfolded stream's.  L1 keeps its
+misses before each stream boundary unweighted too, since those are
+where the boundaries fall in L2's input.
 """
 
 from __future__ import annotations
@@ -93,23 +109,38 @@ def dedup_consecutive(lines: np.ndarray) -> np.ndarray:
     return lines[keep]
 
 
-def dedup_rows(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Rows(NamedTuple):
+    """Many copies of one stream collapsed at once, one row per copy:
+    the kept lines, row after row, and the offset of each row's first
+    kept line plus the total, so row ``r`` keeps
+    ``lines[offsets[r]:offsets[r + 1]]``; and each kept line's weight
+    (``None`` for a stream whose lines weigh one each)."""
+
+    lines: np.ndarray
+    offsets: np.ndarray
+    weights: Optional[np.ndarray] = None
+
+
+def dedup_rows(lines: np.ndarray, weights: Optional[np.ndarray] = None
+               ) -> Rows:
     """:func:`dedup_consecutive` of every row of a 2-D array at once.
 
-    Returns the kept lines, row after row, and the offset of each row's
-    first kept line plus the total, so row ``r`` keeps
-    ``kept[offsets[r]:offsets[r + 1]]``.
+    *weights*, if given, holds each element's weight, broadcast against
+    a row; a kept line weighs what the element that kept it does.
     """
     keep = np.empty(lines.shape, dtype=bool)
     keep[:, :1] = True
     np.not_equal(lines[:, 1:], lines[:, :-1], out=keep[:, 1:])
     offsets = np.zeros(lines.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
-    return lines[keep], offsets
+    if weights is not None:
+        weights = np.broadcast_to(weights, lines.shape)[keep]
+    return Rows(lines[keep], offsets, weights)
 
 
 def strided_lines(starts: np.ndarray, stride: int, length: int, count: int,
-                  line_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+                  line_bytes: int, weights: Optional[np.ndarray] = None
+                  ) -> Rows:
     """:func:`dedup_rows` of strided streams, without their addresses.
 
     Each row of *starts* is one stream: the byte address of the first
@@ -118,14 +149,17 @@ def strided_lines(starts: np.ndarray, stride: int, length: int, count: int,
     of its runs, so its last run may be cut short.  With ``|stride|`` at
     most *line_bytes* a run never skips a line: its consecutive-distinct
     lines are the range from its first element's line to its last's, and
-    it repeats a line of the run before it only at the seam.
+    it repeats a line of the run before it only at the seam.  *weights*,
+    if given, holds each run's weight, broadcast against a row, and every
+    line a run keeps weighs that.
     """
     if abs(stride) > line_bytes:
         raise ValueError(f"stride {stride} is wider than a {line_bytes}-byte "
                          "line")
     offsets = np.zeros(starts.shape[0] + 1, dtype=np.int64)
     if count == 0:
-        return np.zeros(0, dtype=np.int64), offsets
+        empty = np.zeros(0, dtype=np.int64)
+        return Rows(empty, offsets, None if weights is None else empty)
     runs = -(-count // length)
     elems = np.full(runs, length, dtype=np.int64)
     elems[-1] = count - (runs - 1) * length
@@ -139,20 +173,25 @@ def strided_lines(starts: np.ndarray, stride: int, length: int, count: int,
     first[:, 1:] += step * seam
     size[:, 1:] -= seam
     np.cumsum(size.sum(axis=1), out=offsets[1:])
+    if weights is not None:
+        weights = np.repeat(np.broadcast_to(weights[:runs], size.shape),
+                            size.reshape(-1))
     size = size.reshape(-1)
     begin = np.cumsum(size) - size
     lines = np.repeat(first.reshape(-1) - step * begin, size)
     lines += step * np.arange(lines.size, dtype=np.int64)
-    return lines, offsets
+    return Rows(lines, offsets, weights)
 
 
 class Lines(NamedTuple):
     """One access stream already collapsed to consecutive-distinct cache
     lines (``None`` for a hierarchy that is off), and the number of
-    element accesses it stands for."""
+    element accesses it stands for.  A folded stream's lines carry
+    *weights*: the accesses each stands for (``None``: one each)."""
 
     lines: Optional[np.ndarray]
     elements: int
+    weights: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,21 +216,36 @@ class Charges:
             for start in range(0, self.elements.size, CHARGE_ROWS))
 
 
-def _batches(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Regroup line arrays into whole multiples of :data:`BATCH_LINES`
-    (the last one shorter), in order."""
-    pending: list[np.ndarray] = []
+def _batches(chunks: Iterable[tuple[np.ndarray, Optional[np.ndarray]]]
+             ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Regroup ``(lines, weights)`` pairs into whole multiples of
+    :data:`BATCH_LINES` lines (the last one shorter), in order.  A
+    batch's weights are ``None`` when none of its lines carry one."""
+    pending: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
     size = 0
     for chunk in chunks:
         pending.append(chunk)
-        size += chunk.size
+        size += chunk[0].size
         if size >= BATCH_LINES:
-            joined = np.concatenate(pending)
+            lines, weights = _join(pending)
             cut = size - size % BATCH_LINES
-            yield joined[:cut]
-            pending, size = [joined[cut:]], size - cut
+            yield lines[:cut], None if weights is None else weights[:cut]
+            pending = [(lines[cut:],
+                        None if weights is None else weights[cut:])]
+            size -= cut
     if size:
-        yield np.concatenate(pending)
+        yield _join(pending)
+
+
+def _join(parts: list[tuple[np.ndarray, Optional[np.ndarray]]]
+          ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One ``(lines, weights)`` pair of *parts*, in order."""
+    lines = np.concatenate([p[0] for p in parts])
+    if all(p[1] is None for p in parts):
+        return lines, None
+    return lines, np.concatenate([
+        np.ones(p[0].size, dtype=np.int64) if p[1] is None else p[1]
+        for p in parts])
 
 
 class _Tally:
@@ -199,35 +253,54 @@ class _Tally:
 
     The boundaries arrive in order as the streams do, and each is
     resolved by the batch that decides the line before it, or at the
-    end.  Both sequences are ``array("q")``: a run can have a hundred
-    thousand streams.
+    end.  Misses are weighted: a missed line counts its weight.  With
+    *positions* the tally also keeps, per boundary, the lines missed
+    before it unweighted: where the boundary falls in the level's
+    output, the next level's input.  The sequences are ``array("q")``:
+    a run can have a hundred thousand streams.
     """
 
-    def __init__(self, bounds: Optional[array] = None):
+    def __init__(self, bounds: Optional[array] = None,
+                 positions: bool = False):
         self.bounds = array("q") if bounds is None else bounds
-        #: misses before each resolved boundary.
+        #: weighted misses before each resolved boundary.
         self.before = array("q")
+        #: unweighted misses before each resolved boundary.
+        self.positions = array("q") if positions else None
         self.decided = 0
         self.missed = 0
+        self.output = 0
 
-    def add(self, miss: np.ndarray) -> None:
-        """Account the level's next decided batch, by its miss mask."""
+    def add(self, miss: np.ndarray, weights: Optional[np.ndarray]) -> None:
+        """Account the level's next decided batch, by its miss mask and
+        its lines' weights."""
         start, stop = self.decided, self.decided + miss.size
         lo = len(self.before)
         hi = bisect_right(self.bounds, stop, lo)
         missed = np.flatnonzero(miss)
+        cost = None  # cost[k]: the weight of the batch's first k misses
+        if weights is not None:
+            cost = np.zeros(missed.size + 1, dtype=np.int64)
+            np.cumsum(weights[missed], out=cost[1:])
         if hi > lo:
-            at = np.frombuffer(self.bounds[lo:hi], dtype=np.int64) - start
-            self.before.frombytes(
-                (np.searchsorted(missed, at) + self.missed).tobytes())
+            at = np.searchsorted(missed, np.frombuffer(
+                self.bounds[lo:hi], dtype=np.int64) - start)
+            if self.positions is not None:
+                self.positions.frombytes((at + self.output).tobytes())
+            if cost is not None:
+                at = cost[at]
+            self.before.frombytes((at + self.missed).tobytes())
         self.decided = stop
-        self.missed += missed.size
+        self.output += missed.size
+        self.missed += missed.size if cost is None else int(cost[-1])
 
     def misses(self) -> np.ndarray:
         """Resolve the boundaries at the end of the input; return each
         stream's misses."""
-        self.before.extend([self.missed] * (len(self.bounds)
-                                            - len(self.before)))
+        pad = len(self.bounds) - len(self.before)
+        self.before.extend([self.missed] * pad)
+        if self.positions is not None:
+            self.positions.extend([self.output] * pad)
         return np.diff(np.frombuffer(self.before, dtype=np.int64), prepend=0)
 
 
@@ -256,20 +329,26 @@ class Cache:
         self.accesses = 0
         self.misses = 0
 
-    def access_lines(self, lines: np.ndarray) -> np.ndarray:
+    def access_lines(self, lines: np.ndarray,
+                     weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Access a stream of line indices in order.
 
         Returns a boolean mask over *lines*, true where the access missed,
         so ``lines[mask]`` is the missed lines in stream order, ready for
-        the next level.
+        the next level.  A line of weight ``w`` (*weights*, default one
+        each) counts as ``w`` accesses, and as ``w`` misses if it missed.
         """
         lines = np.asarray(lines, dtype=np.int64)
         miss = np.empty(lines.size, dtype=bool)
         for start in range(0, lines.size, BATCH_LINES):
             stop = start + BATCH_LINES
             miss[start:stop] = self._access_batch(lines[start:stop])
-        self.accesses += int(lines.size)
-        self.misses += int(np.count_nonzero(miss))
+        if weights is None:
+            self.accesses += int(lines.size)
+            self.misses += int(np.count_nonzero(miss))
+        else:
+            self.accesses += int(weights.sum())
+            self.misses += int(weights[miss].sum())
         return miss
 
     def _access_batch(self, lines: np.ndarray) -> np.ndarray:
@@ -418,9 +497,10 @@ class MemoryHierarchy:
         """
         line_bytes = self.params.l1.line_bytes
         elements = array("q")
-        l1 = _Tally()
-        # L2's input is L1's misses: its boundaries are L1's tallies.
-        l2 = _Tally(l1.before)
+        l1 = _Tally(positions=self.l2 is not None)
+        # L2's input is L1's misses: its boundaries are where L1's fall
+        # in them, unweighted.
+        l2 = _Tally(l1.positions)
 
         def lines():
             end = 0
@@ -435,20 +515,20 @@ class MemoryHierarchy:
                 if self.enabled:
                     end += stream.lines.size
                     l1.bounds.append(end)
-                    yield stream.lines
+                    yield stream.lines, stream.weights
 
         def l1_missed():
-            for batch in _batches(lines()):
-                miss = self.l1.access_lines(batch)
-                l1.add(miss)
-                yield batch[miss]
+            for batch, weights in _batches(lines()):
+                miss = self.l1.access_lines(batch, weights)
+                l1.add(miss, weights)
+                yield batch[miss], None if weights is None else weights[miss]
 
         if self.l2 is None:
             for _ in l1_missed():
                 pass
         else:
-            for batch in _batches(l1_missed()):
-                l2.add(self.l2.access_lines(batch))
+            for batch, weights in _batches(l1_missed()):
+                l2.add(self.l2.access_lines(batch, weights), weights)
         counts = np.array(elements, dtype=np.int64)
         self.element_accesses += int(counts.sum())
         if not self.enabled:

@@ -36,6 +36,21 @@ its grid, and each row is the range of lines between its first and last
 element's.  Any other stream is evaluated element by element, and its
 lines are shifted out of the addresses and de-duplicated.
 
+Either way a stream's lines are built over its kept grid.  A repeat
+loop of a stream is an outer loop of more than
+:data:`KEPT_ITERATIONS` (three) iterations whose variable its ref does
+not read, gathers included: each iteration touches the addresses the
+one before did.  Only the first three iterations of each repeat loop
+are kept, and every line of a third iteration is weighted by the
+iterations left, ``E - 2`` (weights multiply across nested repeat
+loops); :class:`~repro.machine.cache.Lines` carries the weights.  By
+LRU's stack property the hierarchy decides the third iteration as it
+would every later one, and ends in the same state, so the weighted
+counts equal the full grid's (:data:`KEPT_ITERATIONS` says why three).
+A stream cut short by an access weight below one keeps its full grid.
+With the cache off only a gather is built, on its kept grid: the same
+addresses are checked.
+
 A run makes one call to the memory hierarchy: every stream of every
 chunk's kernels, in run order, which lets the vectorized cache decide
 full batches across kernel and chunk boundaries.  The call returns each
@@ -80,6 +95,7 @@ from repro.isa.instructions import ScalarOp
 from repro.machine.cache import (
     Lines,
     MemoryHierarchy,
+    Rows,
     addresses_to_lines,
     dedup_rows,
     strided_lines,
@@ -97,13 +113,26 @@ from repro.metrics.counters import PhaseCounters, RunCounters
 #: constant, not an option, for that reason.
 GROUP_ACCESSES = 1 << 15
 
-#: lines of chunk-invariant streams a run keeps for reuse (8 bytes each).
+#: lines of chunk-invariant streams a run keeps for reuse (8 bytes each,
+#: and 8 more for the weight of a folded stream's line).
 #: A chunk's invariant streams are about 52k lines at VECTOR_SIZE 16, 210k
 #: at 64 and 790k at 240.  With 1 << 17 the quick-mesh vec1 run at VS 16
 #: took 0.48 s (1.14 s with no reuse), and the VS 240 run (4 chunks, the
 #: budget full) peaked at 44.7 MB against 43.8 MB with no reuse; 1 << 18
 #: added another 0.8 MB for a gain at VS 64 alone.
 REUSE_LINES = 1 << 17
+
+#: iterations of a repeat loop a stream keeps: the hierarchy depth plus
+#: one.  A cache level fed a repeating period decides identically from
+#: the period's second copy on, and ends every copy in the state it
+#: ended the first in (LRU's stack property: a set holds the last
+#: ``assoc`` distinct lines it was sent).  L1's input repeats from the
+#: first iteration, but L2's input, L1's misses, only from the second:
+#: L1 misses differently in the first copy than in the rest.  So the
+#: third iteration decides as every later one does, at both levels, and
+#: stands for all of them.  Two kept iterations go wrong whenever a line
+#: still hot in L1 has left L2.
+KEPT_ITERATIONS = 3
 
 
 def strip_lengths(total_trip: int, vl_max: int) -> list[int]:
@@ -192,11 +221,48 @@ def _kernel_streams(compiled: CompiledKernel) -> list[_Stream]:
     return out
 
 
+class _Fold(NamedTuple):
+    """The part of a stream's grid its lines are built from."""
+
+    shape: tuple[int, ...]
+    #: elements of the kept grid the stream reads.
+    count: int
+    #: the weight of each innermost row of the kept grid, outermost
+    #: first; ``None`` when nothing is folded.
+    weights: Optional[np.ndarray]
+
+
+def _fold(stream: _Stream) -> _Fold:
+    """*stream*'s grid with each repeat loop cut to its first
+    :data:`KEPT_ITERATIONS` iterations.  A row's weight is the product,
+    over the repeat loops whose last kept iteration it lies in, of the
+    iterations each has left."""
+    shape = stream.extents or (1,)
+    count = math.prod(shape)
+    if len(shape) < 2 or stream.elements < count:
+        return _Fold(shape, stream.elements, None)
+    read = stream.ref.vars()
+    repeat = [j for j, (var, extent) in enumerate(zip(stream.loop_vars,
+                                                      shape[:-1]))
+              if extent > KEPT_ITERATIONS and var not in read]
+    if not repeat:
+        return _Fold(shape, count, None)
+    outer = list(shape[:-1])
+    for j in repeat:
+        outer[j] = KEPT_ITERATIONS
+    weights = np.ones(outer, dtype=np.int64)
+    for j in repeat:
+        weights[(slice(None),) * j + (KEPT_ITERATIONS - 1,)] *= (
+            shape[j] - KEPT_ITERATIONS + 1)
+    outer.append(shape[-1])
+    return _Fold(tuple(outer), math.prod(outer), weights.reshape(-1))
+
+
 @dataclass
 class _KernelStreams:
     """One kernel's streams in a run, and the chunk group it is in: the
     chunk-dependent streams' lines for chunks ``start`` on, by stream
-    index (``(kept lines, row offsets)``, :func:`dedup_rows`)."""
+    index (one row per chunk, :class:`~repro.machine.cache.Rows`)."""
 
     streams: list[_Stream]
     #: chunks one group spans.
@@ -210,8 +276,7 @@ class _KernelStreams:
     start: int = 0
     #: runs of the kernel left in the group.
     uses: int = 0
-    rows: dict[int, Optional[tuple[np.ndarray, np.ndarray]]] = field(
-        default_factory=dict)
+    rows: dict[int, Optional[Rows]] = field(default_factory=dict)
 
 
 class RunStreams:
@@ -276,9 +341,11 @@ class RunStreams:
                     if not self.enabled:
                         yield k.bare[i]
                     elif stream.varies:
-                        kept, offsets = k.rows[i]
-                        yield Lines(kept[offsets[row]:offsets[row + 1]],
-                                    stream.elements)
+                        rows = k.rows[i]
+                        cut = slice(rows.offsets[row], rows.offsets[row + 1])
+                        yield Lines(rows.lines[cut], stream.elements,
+                                    None if rows.weights is None
+                                    else rows.weights[cut])
                     else:
                         yield self._invariant(key, i, stream)
                 k.uses -= 1
@@ -297,31 +364,34 @@ class RunStreams:
         addrs = byte_addresses(stream.ref, env, self.instance)
         return np.broadcast_to(addrs, (rows,) + shape).reshape(rows, -1)
 
-    def _addresses(self, stream: _Stream,
-                   bases: Optional[np.ndarray]) -> np.ndarray:
-        """Every element address of the stream, a row per chunk."""
-        return self._grid(stream, stream.extents or (1,),
-                          bases)[:, :stream.elements]
+    def _addresses(self, stream: _Stream, bases: Optional[np.ndarray],
+                   fold: _Fold) -> np.ndarray:
+        """Every element address of the stream's kept grid (*fold*), a
+        row per chunk."""
+        return self._grid(stream, fold.shape, bases)[:, :fold.count]
 
-    def _lines(self, stream: _Stream, bases: Optional[np.ndarray]
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """The stream's lines, a row per chunk (``(kept lines, row
-        offsets)``, :func:`~repro.machine.cache.dedup_rows`): in closed
-        form with no gather and at most half a line's stride, else from
-        every element address."""
+    def _lines(self, stream: _Stream, bases: Optional[np.ndarray]) -> Rows:
+        """The stream's lines, a row per chunk, built from its kept grid
+        (:func:`_fold`) and weighted where it is folded: in closed form
+        with no gather and at most half a line's stride, else from every
+        element address."""
+        fold = _fold(stream)
         if stream.stride is None or 2 * abs(stream.stride) > self.line_bytes:
-            return dedup_rows(addresses_to_lines(
-                self._addresses(stream, bases), self.line_bytes))
-        return self._strided_lines(stream, bases)
+            return dedup_rows(
+                addresses_to_lines(self._addresses(stream, bases, fold),
+                                   self.line_bytes),
+                None if fold.weights is None
+                else np.repeat(fold.weights, fold.shape[-1]))
+        return self._strided_lines(stream, bases, fold)
 
-    def _strided_lines(self, stream: _Stream, bases: Optional[np.ndarray]
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    def _strided_lines(self, stream: _Stream, bases: Optional[np.ndarray],
+                       fold: _Fold) -> Rows:
         """:meth:`_lines` from the address of each innermost row's first
         element alone."""
-        *outer, inner = stream.extents or (1,)
+        *outer, inner = fold.shape
         starts = self._grid(stream, (*outer, 1), bases)
-        return strided_lines(starts, stream.stride, inner, stream.elements,
-                             self.line_bytes)
+        return strided_lines(starts, stream.stride, inner, fold.count,
+                             self.line_bytes, fold.weights)
 
     def _group_lines(self, stream: _Stream, k: _KernelStreams):
         """The lines of a chunk-dependent stream for every chunk of *k*'s
@@ -332,7 +402,7 @@ class RunStreams:
         if self.enabled:
             return self._lines(stream, bases)
         if stream.gathers:
-            self._addresses(stream, bases)
+            self._addresses(stream, bases, _fold(stream))
         return None
 
     def _invariant(self, key: int, i: int, stream: _Stream) -> Lines:
@@ -340,7 +410,8 @@ class RunStreams:
         kept while :data:`REUSE_LINES` allows."""
         kept = self._reused.get((key, i))
         if kept is None:
-            kept = Lines(self._lines(stream, None)[0], stream.elements)
+            rows = self._lines(stream, None)
+            kept = Lines(rows.lines, stream.elements, rows.weights)
             if kept.lines.size <= self._budget:
                 self._budget -= kept.lines.size
                 self._reused[key, i] = kept

@@ -12,6 +12,7 @@ per-phase cycle tables play in the co-design loop.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -41,6 +42,15 @@ class Breach:
                 f"{self.current:,.0f} cycles ({self.ratio:.3f}x, {direction})")
 
 
+def check_threshold(threshold: float) -> float:
+    """*threshold*, if it is a finite number ``>= 0``; else
+    ``ValueError``."""
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValueError(f"threshold {threshold!r} is not a finite number "
+                         ">= 0")
+    return threshold
+
+
 def phase_cycles_payload(runs: Mapping[str, RunCounters]) -> dict:
     """The ``phase_cycles`` section of a bench report:
     ``{run key: {phase id: cycles_total}}``, JSON-ready."""
@@ -58,8 +68,11 @@ def compare_phase_cycles(current: Mapping, baseline: Mapping,
     Only keys present in both reports are compared (a baseline recorded
     on a different profile simply gates fewer runs); a phase present on
     one side only is a breach -- phases must not appear or vanish
-    silently.
+    silently.  A *threshold* that is not a finite number ``>= 0`` raises
+    ``ValueError``: NaN or infinity would pass any drift, and a negative
+    one would fail unchanged phases.
     """
+    check_threshold(threshold)
     breaches: list[Breach] = []
     for key in sorted(set(current) & set(baseline)):
         cur, base = current[key], baseline[key]

@@ -11,19 +11,30 @@ internal batches.
 """
 
 from collections import OrderedDict
+from itertools import chain
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler.ir import Affine, Array, Indirect, Ref
+from repro.compiler.program import (
+    AccessDesc,
+    CompiledKernel,
+    KernelInstance,
+    ScalarBlock,
+)
+from repro.isa.instructions import ScalarOp
 from repro.machine import cache as cache_mod
 from repro.machine.cache import (
     Cache,
+    Lines,
     MemoryHierarchy,
     addresses_to_lines,
     dedup_consecutive,
 )
+from repro.machine.cpu import RunStreams
 from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
 from repro.machine.params import CacheParams, MemoryParams
 
@@ -328,3 +339,169 @@ def test_empty_streams_at_a_batch_boundary(params):
     ]
     with mock.patch.object(cache_mod, "BATCH_LINES", 8):
         assert_run_matches(params, kernels)
+
+
+# -- folded streams: the loops an access does not read ---------------------
+
+
+def resident(cache: Cache) -> list[list[int]]:
+    """Each set's resident lines, least recently used first."""
+    return [cache._ways[s, cache._assoc - cache._fill[s]:].tolist()
+            for s in range(cache._n_sets)]
+
+
+def assert_fold_matches(params, warm, kernel, instance, expanded):
+    """*kernel*'s streams folded by ``RunStreams`` and their *expanded*
+    byte addresses, each after the *warm* addresses, into two fresh
+    hierarchies: the same charges, counts and resident lines.  The list
+    LRU checks the expanded side."""
+    folded, full = MemoryHierarchy(params), MemoryHierarchy(params)
+    plan = RunStreams([kernel], instance, None, folded)
+    got = list(folded.access(chain([warm], plan.run())))
+    want = list(full.access([warm, *expanded]))
+    assert got == want
+    assert folded.element_accesses == full.element_accesses
+    for a, b in ((folded.l1, full.l1), (folded.l2, full.l2)):
+        assert (a.accesses, a.misses) == (b.accesses, b.misses)
+        assert resident(a) == resident(b)
+    assert folded.check_invariants() == []
+
+    oracle = OracleHierarchy(params)
+    assert want == [(*oracle.access(s), len(s)) for s in [warm, *expanded]]
+    assert resident(full.l1) == oracle.l1._sets
+    assert resident(full.l2) == oracle.l2._sets
+    return got
+
+
+def gather_kernel(tables, repeats, outer):
+    """One scalar block per stream: stream ``s`` reads line
+    ``tables[s][m][i]`` at loops ``(q, m, r, i)``, so its repeat loops
+    ``r`` (*repeats*) and, if *outer* gives one, ``q`` read nothing.
+    Returns the kernel, its instance and each stream's expanded byte
+    addresses."""
+    lines = max(max(max(row) for row in t) for t in tables) + 1
+    data = Array("a", (8 * lines,))
+    blocks, expanded = [], []
+    instance = KernelInstance()
+    instance.bind(data)
+    base = instance.binding("a").base_addr
+    for s, (table, r, q) in enumerate(zip(tables, repeats, outer)):
+        tab = Array(f"tab{s}", (len(table), len(table[0])), dtype="i8")
+        instance.bind(tab, np.asarray(table, dtype=np.int64))
+        ref = Ref(data, (Indirect(tab, (Affine((("m", 1),)),
+                                        Affine((("i", 1),))), scale=8),))
+        loops, extents = ("m", "r", "i"), (len(table), r, len(table[0]))
+        if q is not None:
+            loops, extents = ("q",) + loops, (q,) + extents
+        blocks.append(ScalarBlock(1, loops, extents, ((ScalarOp.LOAD, 1.0),),
+                                  0.0, (AccessDesc(ref, False),)))
+        once = [line for row in table for line in row * r]
+        expanded.append(base + 64 * np.asarray(once * (q or 1),
+                                               dtype=np.int64))
+    return CompiledKernel("k", 1, blocks), instance, expanded
+
+
+def tiny_hierarchy(l1_sets, l1_ways, l2_sets, l2_ways):
+    return MemoryParams(
+        l1=CacheParams("L1", 64 * l1_sets * l1_ways, line_bytes=64,
+                       assoc=l1_ways, miss_penalty=10.0),
+        l2=CacheParams("L2", 64 * l2_sets * l2_ways, line_bytes=64,
+                       assoc=l2_ways, miss_penalty=37.5))
+
+
+@st.composite
+def periodic_runs(draw):
+    """A tiny two-level hierarchy, a warm-up, and periodic streams: each
+    a period of 1-6 lines per segment from a small pool (repeated lines,
+    and sometimes a last line equal to the first, so copies merge at the
+    seam), the period repeated 1-7 times, sometimes all of it repeated
+    again 1-7 times.  Half the warm-ups end with a pool line hot in L1
+    but gone from L2, the first period's first line: the state in which
+    L2's misses repeat only from a period's second copy on."""
+    hot = draw(st.booleans())
+    if hot:  # shaped like test_third_kept_iteration_keeps_l2_exact's
+        l2_sets = draw(st.sampled_from([1, 2]))
+        l1_sets = draw(st.sampled_from([s for s in (2, 4) if s > l2_sets]))
+        ways = [1, 2]
+    else:
+        l1_sets, l2_sets = (draw(st.sampled_from([1, 2, 4]))
+                            for _ in range(2))
+        ways = [draw(st.integers(1, 2)) for _ in range(2)]
+    params = tiny_hierarchy(l1_sets, ways[0], l2_sets, ways[1])
+    pool = draw(st.lists(st.integers(0, 11), min_size=1, max_size=5,
+                         unique=True))
+    warm = draw(st.lists(st.integers(0, 11), max_size=12))
+    line = None
+    if hot:
+        # a pool line, then lines of its L2 set but another L1 set, each
+        # followed by it: L1 keeps it, L2 loses it.
+        line = draw(st.sampled_from(pool))
+        warm += [line] + [x for m in range(2)
+                          for x in (line + l2_sets + l1_sets * m, line)]
+    tables, repeats, outer = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        period = draw(st.integers(1, 6))
+        table = [draw(st.lists(st.sampled_from(pool), min_size=period,
+                               max_size=period))
+                 for _ in range(draw(st.integers(1, 2)))]
+        if line is not None and not tables:
+            # it, then a line of its L1 set: they push each other out of
+            # L1 in every copy from the second on.
+            table[0][:2] = [line, line + l1_sets][:period]
+        if draw(st.booleans()):
+            for row in table:
+                row[-1] = row[0]
+        tables.append(table)
+        repeats.append(draw(st.integers(1, 7)))
+        outer.append(draw(st.one_of(st.none(), st.integers(1, 7))))
+    return params, warm, (tables, repeats, outer)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=periodic_runs(), batch_lines=st.integers(1, 16))
+def test_folded_streams_match_expanded(case, batch_lines):
+    """The first three iterations of every loop a stream does not read,
+    the third weighted by those left, against every iteration: through
+    ``MemoryHierarchy.access`` from the same warm state, in batches of
+    1-16 lines."""
+    params, warm, streams = case
+    kernel, instance, expanded = gather_kernel(*streams)
+    warm = instance.binding("a").base_addr + 64 * np.asarray(
+        warm, dtype=np.int64)
+    with mock.patch.object(cache_mod, "BATCH_LINES", batch_lines):
+        assert_fold_matches(params, warm, kernel, instance, expanded)
+
+
+#: L1 2 sets x 1 way, L2 1 set x 2 ways.
+HOT_IN_L1_ONLY = tiny_hierarchy(2, 1, 1, 2)
+
+
+def test_third_kept_iteration_keeps_l2_exact():
+    """Warm up with A=0, C=1, D=3: L1 keeps A, but L2 keeps only C and
+    D.  Then [A, B=2] six times.  L1 hits A once and misses the other 11
+    accesses; L2, fed those 11 lines, misses only B and A once each.
+    Three kept iterations, the last weighted 4, say the same.  Two kept
+    iterations, the last weighted 5, would not: L1's misses repeat from
+    the second iteration on, L2's only from the third, so L2 would
+    count A's second miss five times."""
+    warm = Lines(np.array([0, 1, 3]), 3)
+
+    def l2_misses(stream):
+        hier = MemoryHierarchy(HOT_IN_L1_ONLY)
+        charges = list(hier.access([warm, stream]))
+        assert hier.l1.accesses == 3 + 12
+        return charges[1][1:]
+
+    expanded = Lines(np.array([0, 2] * 6), 12)
+    assert l2_misses(expanded) == (11, 2, 12)
+    three = Lines(np.array([0, 2] * 3), 12, np.array([1, 1, 1, 1, 4, 4]))
+    assert l2_misses(three) == (11, 2, 12)
+    two = Lines(np.array([0, 2] * 2), 12, np.array([1, 1, 5, 5]))
+    assert l2_misses(two) == (11, 6, 12)
+
+    # and as RunStreams folds it: A and B through a table, six times.
+    kernel, instance, [stream] = gather_kernel([[[0, 2]]], [6], [None])
+    base = instance.binding("a").base_addr
+    got = assert_fold_matches(HOT_IN_L1_ONLY, base + 64 * np.array([0, 1, 3]),
+                              kernel, instance, [stream])
+    assert got[1] == (11 * 10.0 + 2 * 37.5, 11, 2, 12)

@@ -53,6 +53,25 @@ def test_speedup_past_threshold_also_flags():
     assert "speed-up" in b.describe()
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
+def test_threshold_must_be_finite_and_non_negative(threshold):
+    # NaN and infinity would let any drift through; a negative threshold
+    # would fail unchanged phases.
+    pc = {"k": {"6": 233420.0}}
+    with pytest.raises(ValueError, match="not a finite number >= 0"):
+        gate.compare_phase_cycles(pc, {"k": {"6": 1.0}}, threshold=threshold)
+    with pytest.raises(ValueError, match="not a finite number >= 0"):
+        gate.compare_phase_cycles(pc, pc, threshold=threshold)
+
+
+def test_zero_threshold_fails_any_drift():
+    assert gate.compare_phase_cycles({"k": {"6": 1000.0}},
+                                     {"k": {"6": 1000.0}}, threshold=0) == []
+    (b,) = gate.compare_phase_cycles({"k": {"6": 1000.5}},
+                                     {"k": {"6": 1000.0}}, threshold=0)
+    assert b.phase == 6
+
+
 def test_phase_appearing_or_vanishing_is_a_breach():
     cur = {"k": {"1": 100.0, "9": 5.0}}
     base = {"k": {"1": 100.0, "2": 50.0}}

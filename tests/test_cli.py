@@ -300,6 +300,23 @@ def test_bench_baseline_gate(tmp_path, capsys, monkeypatch):
     assert code == 0 and "gate:" in out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1"])
+def test_bench_rejects_threshold_before_simulating(threshold, tmp_path,
+                                                   capsys, monkeypatch):
+    """NaN or infinity would let any drift through the gate, and a
+    negative threshold would fail unchanged phases: argparse rejects
+    them (exit 2) before anything runs or is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--mesh", "tiny", "--profile", "smoke",
+              "-o", "cur.json", "--baseline", "base.json",
+              "--threshold", threshold])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"'{threshold}' is not a finite number >= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_baseline_unusable_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _ = run_cli(capsys, "bench", "--mesh", "tiny",
