@@ -14,13 +14,9 @@ The package simulates the paper's entire stack in Python:
   regression;
 * :mod:`repro.obs` -- the observability spine: one ambient tracer
   through every layer (machine phase spans on the cycle clock, emulator
-  instruction streams, executor progress) plus its aggregate twin, the
-  lock-safe :class:`~repro.obs.metrics.MetricsRegistry`, with Paraver /
-  Chrome ``trace_event`` exporters, terminal renderers, the per-phase
-  cycle regression gate behind ``repro bench --baseline``, per-tenant
-  SLO verdicts over the sweep service (``repro top``, the ``metrics``
-  wire verb), and cross-process trace correlation
-  (``repro submit --trace`` / ``repro trace --job``);
+  instruction streams, executor progress), with Paraver / Chrome
+  ``trace_event`` exporters, terminal renderers, and the per-phase
+  cycle regression gate behind ``repro bench --baseline``;
 * :mod:`repro.trace` -- Extrae/Vehave/Paraver-style trace files and
   analysis (the exporter side of :mod:`repro.obs`);
 * :mod:`repro.experiments` -- the harness regenerating every table and
@@ -54,7 +50,7 @@ or, one level lower::
     print(counters.total_cycles)
 """
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 from repro import obs
 from repro.backends import BACKENDS, ExecutionBackend, get_backend

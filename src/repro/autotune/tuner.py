@@ -19,16 +19,14 @@ into a *discovered* result:
 5. **select** per-phase and total winners by measured cycles
    (deterministic tie-break: fewer passes, then lexicographic).
 
-Every stage runs under an ``autotune`` observability span and bumps the
-``autotune_candidates_total{status=...}`` counter on the ambient metrics
-registry, so ``repro trace`` / ``repro top`` see tuning like any other
-workload.
+Every stage runs under an ``autotune`` observability span, so an
+ambient tracer sees tuning like any other workload.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable
 
 from repro.autotune.costmodel import ScheduleCostModel
 from repro.autotune.report import (
@@ -48,7 +46,6 @@ from repro.experiments.executor import (
 )
 from repro.machine.machines import get_machine
 from repro.metrics.counters import RunCounters
-from repro.obs.metrics import active as _metrics_active
 from repro.obs.tracer import event as _obs_event, span as _obs_span
 from repro.validation.digests import (
     phase_output_digests,
@@ -59,16 +56,6 @@ from repro.validation.probe import Probe
 
 class AutotuneError(RuntimeError):
     """A candidate sweep that cannot produce a trustworthy report."""
-
-
-#: timing hook signature: configs -> {cfg key: RunCounters}.
-TimeRuns = Callable[[Sequence[RunConfig]], dict]
-
-
-def _count(status: str) -> None:
-    registry = _metrics_active()
-    if registry is not None:
-        registry.counter("autotune_candidates_total", status=status).inc()
 
 
 def candidate_config(schedule: tuple[str, ...], *, machine: str,
@@ -157,16 +144,12 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
                  cache_dir: str | os.PathLike = ".repro_cache",
                  jobs: int = 1,
                  use_disk: bool = True,
-                 worker=None,
-                 time_runs: Optional[TimeRuns] = None) -> AutotuneReport:
+                 worker=None) -> AutotuneReport:
     """Discover the best pass schedule per phase on one machine model.
 
     *worker* overrides the executor's simulation callable (test hook:
-    a spy worker proves pruned candidates are never timed);
-    *time_runs* replaces the whole timing stage (the service path: the
-    CLI submits the candidate plan as an ``autotune`` job and feeds the
-    fetched payloads back in).  Both default to the local cached
-    executor.
+    a spy worker proves pruned candidates are never timed); it defaults
+    to the local cached executor's.
     """
     # the baseline config first: it checks the inputs before the digest
     # probes, which run on no RunConfig of their own.
@@ -193,7 +176,6 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
                 if reason is not None:
                     outcome.status = "pruned"
                     outcome.prune_reason = reason
-                    _count("pruned")
                 else:
                     survivors.append(outcome)
                 outcomes.append(outcome)
@@ -207,7 +189,6 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
                 outcome.digest_ok = ok
                 if not ok:
                     outcome.status = "invalid"
-                    _count("invalid")
                     _obs_event("autotune digest mismatch", cat="autotune",
                                schedule=schedule_label(outcome.schedule))
             survivors = [c for c in survivors if c.status == "timed"]
@@ -219,18 +200,15 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
             for c in survivors}
         with _obs_span("autotune time", cat="autotune",
                        candidates=len(configs)):
-            if time_runs is not None:
-                runs = time_runs(list(configs.values()))
-            else:
-                result = execute_plan(
-                    ExecutionPlan.from_configs(configs.values()),
-                    cache_dir=cache_dir, jobs=jobs, use_disk=use_disk,
-                    worker=worker or simulate_to_dict)
-                if result.failed:
-                    raise AutotuneError(
-                        f"{len(result.failed)} candidate run(s) failed "
-                        f"permanently: {sorted(result.failed)}")
-                runs = result.runs
+            result = execute_plan(
+                ExecutionPlan.from_configs(configs.values()),
+                cache_dir=cache_dir, jobs=jobs, use_disk=use_disk,
+                worker=worker or simulate_to_dict)
+            if result.failed:
+                raise AutotuneError(
+                    f"{len(result.failed)} candidate run(s) failed "
+                    f"permanently: {sorted(result.failed)}")
+            runs = result.runs
 
         from repro.experiments.executor import build_miniapp
         baseline = build_miniapp(baseline_config)
@@ -243,7 +221,6 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
                 for pid in counters.phase_ids()}
             outcome.remarks = schedule_remarks(outcome.schedule,
                                                baseline.baseline_kernels)
-            _count("timed")
             _obs_event("autotune candidate timed", cat="autotune",
                        schedule=schedule_label(outcome.schedule),
                        cycles=outcome.cycles_total)

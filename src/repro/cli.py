@@ -16,8 +16,6 @@ command per artifact or workflow:
   const-trip-count x strip-mine), prune with the machine-model cost
   model, digest-validate survivors, time them through the cached
   executor, and write a byte-deterministic AUTOTUNE_report.json;
-  ``--socket`` times candidates through a running sweep service
-  instead (submitted as an ``autotune``-kind job);
 * ``remarks``                   -- the compiler's vectorization remarks;
 * ``passes``                    -- run the transformation pass pipeline
   and show each kernel before/after every applied pass, with the
@@ -27,27 +25,7 @@ command per artifact or workflow:
 * ``trace``                     -- run under the observability tracer;
   exports Paraver text (``.prv`` + ``.pcf``/``.row``) and, with
   ``--out``, a Chrome ``trace_event`` JSON for ``chrome://tracing``;
-* ``chaos``                     -- seeded fault-injection campaign + report;
-  with ``--service-faults`` the sweep-service drills (kill-mid-sweep,
-  torn cache entry, submission flood, hung worker, breaker storm) run
-  as extra stages;
-* ``serve``                     -- run the supervised sweep service on a
-  unix socket: durable job queue, admission control, circuit breaker,
-  results kept in the digest-checked run cache (see ``repro.service``);
-* ``submit``                    -- submit a sweep to a running service
-  (``--ladder`` for the full rung ladder) and optionally wait/stream;
-* ``jobs``                      -- inspect a running service: job table
-  (+ a one-line health summary), single-job view, results, health,
-  drain, shutdown;
-* ``top``                       -- live terminal dashboard over the
-  service's ``metrics``/``health`` verbs: queue depth, tenant table,
-  breaker state, SLO verdicts; ``--once --json`` emits the curated
-  byte-deterministic snapshot for scripting and CI diffs.
-
-``submit --trace`` stamps a trace id that travels through the journal,
-worker processes, and cached result; ``trace --job ID --state-dir DIR``
-then renders the job's single cross-process timeline (client-submit →
-queue-wait → worker-execute → store-write).
+* ``chaos``                     -- seeded fault-injection campaign + report.
 
 Sweep-shaped commands (``table`` / ``figure`` / ``sweep`` / ``report`` /
 ``bench``) accept ``--jobs/-j N`` to fan uncached simulations across a
@@ -97,6 +75,18 @@ def _threshold(text: str) -> float:
             f"{text!r} is not a finite number >= 0") from None
 
 
+def _job_count(text: str) -> int:
+    """``-j/--jobs``: an integer ``>= 0`` (0 = one worker per CPU),
+    checked before anything is simulated."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return n
+
+
 def _add_mesh(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", choices=("tiny", "quick", "full"),
                    default="quick",
@@ -118,7 +108,7 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
+    p.add_argument("-j", "--jobs", type=_job_count, default=1, metavar="N",
                    help="parallel simulation workers (0 = one per CPU)")
 
 
@@ -166,7 +156,7 @@ def _jobs(args) -> int:
     from repro.experiments.executor import default_jobs
 
     n = getattr(args, "jobs", 1)
-    return default_jobs() if n <= 0 else n
+    return default_jobs() if n == 0 else n
 
 
 def _session(args) -> Session:
@@ -235,95 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additionally golden-check every pipeline stage "
                         "of every rung (transformed mode) and prove "
                         "every implemented pass-fault kind is detected")
-    p.add_argument("--service-faults", action="store_true",
-                   help="also drill the sweep service: kill-mid-sweep, "
-                        "torn cache entry, submission flood, hung "
-                        "worker, circuit-breaker storm — every fault "
-                        "must classify recovered/detected/rejected")
-    p.add_argument("--service-only", action="store_true",
-                   help="run only the service drills (fast CI path); "
-                        "implies --service-faults")
-    p.add_argument("--no-kill", action="store_true",
-                   help="skip the subprocess SIGKILL drill (keeps the "
-                        "service report byte-deterministic)")
     _add_backend(p)
-
-    p = sub.add_parser("serve", help="run the supervised sweep service "
-                                     "(durable queue + run cache) on "
-                                     "a unix socket")
-    p.add_argument("--state-dir", default="sweep-service", metavar="DIR",
-                   help="service state: journal, run cache (the result "
-                        "store), job traces (default ./sweep-service); "
-                        "restarting on the same dir resumes in-flight "
-                        "jobs")
-    p.add_argument("--socket", default=None, metavar="PATH",
-                   help="unix socket path (default STATE_DIR/service.sock)")
-    _add_jobs(p)
-    p.add_argument("--timeout-s", type=float, default=30.0,
-                   help="per-run wall-clock budget (default 30)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="per-run retry budget (default 1)")
-    p.add_argument("--validate", action="store_true",
-                   help="cross-check every run against the counter "
-                        "invariants")
-    p.add_argument("--worker-delay", type=float, default=0.0,
-                   metavar="SECONDS", help=argparse.SUPPRESS)  # chaos hook
-
-    p = sub.add_parser("submit", help="submit a sweep to a running "
-                                      "service")
-    p.add_argument("--socket", default="sweep-service/service.sock",
-                   metavar="PATH", help="service socket path")
-    p.add_argument("--tenant", default="default",
-                   help="tenant name for admission control / accounting")
-    p.add_argument("--priority", type=float, default=0.0,
-                   help="scheduling priority (higher runs first; queued "
-                        "jobs age upward so low priority never starves)")
-    p.add_argument("--ladder", action="store_true",
-                   help="submit the full optimization ladder for --mesh "
-                        "instead of the single --machine/--opt/--vs run")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job reaches a terminal state")
-    p.add_argument("--stream", action="store_true",
-                   help="stream run events live until the job finishes")
-    p.add_argument("--trace", action="store_true",
-                   help="stamp a trace id on the submission; the service "
-                        "propagates it through journal, workers, and "
-                        "cached result, and exports the job's "
-                        "cross-process timeline for 'repro trace --job'")
-    p.add_argument("--solve", action="store_true",
-                   help="time the full assemble+solve cycle: the run "
-                        "adds the Krylov solver kernels (phases 9-12) "
-                        "and a __solve__ convergence record to the "
-                        "payload")
-    _add_common(p)
-
-    p = sub.add_parser("jobs", help="inspect a running sweep service")
-    p.add_argument("--socket", default="sweep-service/service.sock",
-                   metavar="PATH", help="service socket path")
-    p.add_argument("--job", default=None, metavar="ID",
-                   help="show one job instead of the whole table")
-    p.add_argument("--results", action="store_true",
-                   help="with --job: fetch the completed payloads (JSON)")
-    p.add_argument("--health", action="store_true",
-                   help="print the service health document (JSON)")
-    p.add_argument("--drain", action="store_true",
-                   help="stop admissions; queued jobs finish, then the "
-                        "service exits")
-    p.add_argument("--shutdown", action="store_true",
-                   help="stop the service after the running job")
-
-    p = sub.add_parser("top", help="live dashboard over a running sweep "
-                                   "service (metrics + health + SLOs)")
-    p.add_argument("--socket", default="sweep-service/service.sock",
-                   metavar="PATH", help="service socket path")
-    p.add_argument("--interval", type=float, default=2.0, metavar="S",
-                   help="refresh interval in seconds (default 2)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit (no screen refresh)")
-    p.add_argument("--json", action="store_true",
-                   help="with --once: emit the curated deterministic "
-                        "status JSON (byte-identical across identical "
-                        "sessions) instead of the rendered dashboard")
 
     p = sub.add_parser("bench", help="time the sweep executor (serial vs "
                                      "parallel) and write a JSON report")
@@ -376,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, metavar="PATH",
                    help="also write the winner table as GitHub-flavoured "
                         "markdown (CI publishes it to the step summary)")
-    p.add_argument("--socket", default=None, metavar="PATH",
-                   help="time candidates through a running sweep service "
-                        "at this socket (submits one 'autotune'-kind "
-                        "job) instead of the local executor")
-    p.add_argument("--tenant", default="default",
-                   help="tenant name for --socket submissions")
 
     p = sub.add_parser("remarks", help="compiler vectorization remarks")
     _add_common(p)
@@ -422,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also export a Chrome trace_event JSON "
                         "(open in chrome://tracing or Perfetto)")
-    p.add_argument("--job", default=None, metavar="ID",
-                   help="render a traced service job's cross-process "
-                        "timeline (from STATE_DIR/traces/ID.json) "
-                        "instead of running a new traced simulation")
-    p.add_argument("--state-dir", default="sweep-service", metavar="DIR",
-                   help="service state dir for --job (default "
-                        "./sweep-service)")
 
     p = sub.add_parser("roofline", help="per-phase roofline analysis")
     _add_common(p)
@@ -617,35 +506,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _service_time_runs(socket: str, tenant: str):
-    """Timing stage for ``repro autotune --socket``: submit the candidate
-    plan to a running sweep service as one ``autotune``-kind job, wait,
-    and fold the fetched payloads back into RunCounters."""
-    from repro.metrics.counters import counters_from_dict
-    from repro.service import ServiceClient
-
-    def time_runs(configs):
-        client = ServiceClient(socket)
-        resp = client.submit(list(configs), tenant=tenant, kind="autotune")
-        if not resp.get("ok"):
-            raise RuntimeError(
-                f"service rejected the candidate plan: "
-                f"{resp.get('rejected', resp.get('error'))}")
-        job_id = resp["job_id"]
-        print(f"[autotune] candidates submitted as job {job_id} "
-              f"(kind autotune)", file=sys.stderr, flush=True)
-        view = client.wait(job_id)
-        if view.get("status") != "done":
-            raise RuntimeError(
-                f"autotune job {job_id} finished {view.get('status')!r}: "
-                f"{view.get('error', '')}")
-        fetched = client.fetch(job_id)
-        return {key: counters_from_dict(payload)
-                for key, payload in fetched["results"].items()}
-
-    return time_runs
-
-
 def _cmd_autotune(args) -> int:
     from pathlib import Path
 
@@ -654,16 +514,13 @@ def _cmd_autotune(args) -> int:
     if args.preset:
         args.mesh = args.preset
     dims = _mesh_dims(args.mesh)
-    time_runs = (_service_time_runs(args.socket, args.tenant)
-                 if args.socket else None)
     print(f"[autotune] machine {args.machine}, mesh {dims}, "
           f"VECTOR_SIZE {args.vs}, {args.profile} profile, "
           f"seed {args.seed}", file=sys.stderr, flush=True)
     try:
         rep = run_autotune(dims, machine=args.machine, vector_size=args.vs,
                            profile=args.profile, seed=args.seed,
-                           backend=args.backend, jobs=_jobs(args),
-                           time_runs=time_runs)
+                           backend=args.backend, jobs=_jobs(args))
     except (AutotuneError, RuntimeError, ValueError) as exc:
         print(f"[autotune] {exc}", file=sys.stderr, flush=True)
         return 1
@@ -688,21 +545,12 @@ def _cmd_autotune(args) -> int:
 def _cmd_chaos(args) -> int:
     from repro.faults import run_chaos_campaign
 
-    if args.service_only:
-        from repro.service.chaos import run_service_campaign
-
-        rep = run_service_campaign(seed=args.seed, mesh=args.mesh,
-                                   out_dir=args.output,
-                                   verbose=args.verbose,
-                                   include_kill=not args.no_kill)
-    else:
-        jobs = max(2, _jobs(args))  # kill/hang stages need a real pool
-        rep = run_chaos_campaign(seed=args.seed, mesh=args.mesh,
-                                 out_dir=args.output, jobs=jobs,
-                                 verbose=args.verbose,
-                                 pass_faults=args.pass_faults,
-                                 service_faults=args.service_faults,
-                                 backend=args.backend)
+    jobs = max(2, _jobs(args))  # kill/hang stages need a real pool
+    rep = run_chaos_campaign(seed=args.seed, mesh=args.mesh,
+                             out_dir=args.output, jobs=jobs,
+                             verbose=args.verbose,
+                             pass_faults=args.pass_faults,
+                             backend=args.backend)
     rows = [["stage", "fault", "target", "outcome"]]
     for st in rep.stages:
         rows.append([st.name, st.kind, st.target or "-", st.classification])
@@ -710,8 +558,6 @@ def _cmd_chaos(args) -> int:
     counts = rep.counts
     print(f"\nseed {rep.seed}: {counts['recovered']} recovered, "
           f"{counts['detected']} detected, "
-          f"{counts.get('degraded', 0)} degraded, "
-          f"{counts['rejected']} rejected, "
           f"{counts['clean']} clean, {counts['silent']} silent "
           f"-- report written to {args.output}/chaos-report.json")
     if not rep.ok:
@@ -823,69 +669,12 @@ def _cmd_codesign(args) -> int:
     return 0
 
 
-#: logical stage order of a traced service job — the render sorts by
-#: stage first so the timeline reads submit → queue → execute → store
-#: even though worker-process spans carry their own wall epoch.
-_TRACE_STAGE_ORDER = {"client": 0, "service": 1, "worker": 2,
-                      "run": 2, "store": 3}
-
-
-def _cmd_trace_job(args) -> int:
-    """Render a traced service job's single cross-process timeline from
-    the trace file the service exported at job completion."""
-    from pathlib import Path
-
-    path = Path(args.state_dir) / "traces" / f"{args.job}.json"
-    if not path.exists():
-        print(f"no trace for job {args.job}: {path} not found "
-              f"(was the job submitted with --trace?)",
-              file=sys.stderr, flush=True)
-        return 1
-    doc = json.loads(path.read_text())
-    meta = doc.get("otherData", {})
-    events = doc.get("traceEvents", [])
-    trace_id = meta.get("trace_id", "")
-
-    spans = []
-    for ev in events:
-        if ev.get("ph") != "X":
-            continue
-        cat = ev.get("cat", "")
-        if cat not in _TRACE_STAGE_ORDER:
-            continue  # SIM phase/block spans: not part of the job story
-        spans.append(ev)
-    spans.sort(key=lambda e: (_TRACE_STAGE_ORDER.get(e.get("cat", ""), 9),
-                              e.get("ts", 0), str(e.get("name", ""))))
-    ids = sorted({str(e.get("args", {}).get("trace", ""))
-                  for e in spans} - {""})
-
-    print(f"job {args.job} — trace {trace_id or '?'} "
-          f"(tenant {meta.get('tenant', '?')}, {len(spans)} span(s) "
-          f"across {len({e.get('pid') for e in spans})} process row(s))")
-    rows = [["stage", "span", "t [ms]", "dur [ms]", "pid"]]
-    for ev in spans:
-        rows.append([ev.get("cat", "?"), str(ev.get("name", "?")),
-                     f"{ev.get('ts', 0) / 1e3:.3f}",
-                     f"{ev.get('dur', 0) / 1e3:.3f}",
-                     str(ev.get("pid", "?"))])
-    print(report.format_table(rows))
-    if ids and (len(ids) > 1 or (trace_id and ids != [trace_id])):
-        print(f"\nWARNING: spans carry {len(ids)} distinct trace id(s): "
-              f"{', '.join(ids)}", file=sys.stderr, flush=True)
-        return 1
-    print(f"\nall spans share trace id {trace_id or (ids[0] if ids else '?')}"
-          f" — full Chrome trace at {path}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from repro import obs
     from repro.machine.machines import get_machine
     from repro.obs import chrome, render
     from repro.trace import paraver, phase_stats
 
-    if args.job:
-        return _cmd_trace_job(args)
     if args.preset:
         args.mesh = args.preset
     tracer = obs.Tracer()
@@ -950,224 +739,6 @@ def _cmd_roofline(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.service import SweepServer, SweepService, default_socket_path
-
-    worker = None
-    if args.worker_delay > 0:
-        from repro.faults.injector import DelayedWorker
-
-        worker = DelayedWorker(args.worker_delay)
-    service = SweepService(args.state_dir, jobs=_jobs(args),
-                           timeout_s=args.timeout_s, retries=args.retries,
-                           validate=args.validate, worker=worker)
-    sock = args.socket or default_socket_path(args.state_dir)
-    server = SweepServer(service, sock)
-    print(f"[serve] sweep service on {sock} (state: {args.state_dir}, "
-          f"resumed {service.resumed_jobs} in-flight job(s))",
-          file=sys.stderr, flush=True)
-    server.serve_forever()
-    print("[serve] drained, journal closed", file=sys.stderr, flush=True)
-    return 0
-
-
-def _submit_configs(args) -> list[RunConfig]:
-    if args.ladder:
-        from repro.experiments.executor import ExecutionPlan
-
-        return list(ExecutionPlan.ladder(mesh=_mesh_dims(args.mesh)))
-    return [_run_config(args)]
-
-
-def _cmd_submit(args) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(args.socket)
-    resp = client.submit(_submit_configs(args), tenant=args.tenant,
-                         priority=args.priority, trace=args.trace)
-    if not resp.get("ok"):
-        # an explicit rejection is the admission contract, not a crash.
-        print(f"rejected: {resp.get('rejected', resp.get('error'))}",
-              file=sys.stderr, flush=True)
-        return 1
-    job_id = resp["job_id"]
-    print(f"submitted {job_id} (queue depth {resp['queued']})"
-          + (f", trace {resp['trace_id']} — inspect with "
-             f"'repro trace --job {job_id}'"
-             if resp.get("trace_id") else ""))
-    if args.stream:
-        for rec in client.stream(job_id):
-            if "event" in rec:
-                ev = rec["event"]
-                key = ev.get("key", "")
-                print(f"  {ev.get('kind', '?'):<12} {key}")
-            elif "done" in rec:
-                return _print_job(rec["job"])
-        return 1
-    if args.wait:
-        return _print_job(client.wait(job_id))
-    return 0
-
-
-def _print_job(view: dict) -> int:
-    print(f"{view['job_id']}: {view['status']} — "
-          f"{view['completed']}/{view['total']} completed "
-          f"({view['from_store']} from store, "
-          f"{view['recomputed']} computed)"
-          + (f"; error: {view['error']}" if view.get("error") else ""))
-    return 0 if view["status"] == "done" else 1
-
-
-def _cmd_jobs(args) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(args.socket)
-    if args.drain:
-        resp = client.drain()
-        print(f"draining (queue depth {resp.get('queue_depth')}, "
-              f"running {resp.get('running') or '-'})")
-        return 0
-    if args.shutdown:
-        client.shutdown()
-        print("shutdown requested")
-        return 0
-    if args.health:
-        print(json.dumps(client.health(), indent=2, sort_keys=True))
-        return 0
-    if args.job and args.results:
-        resp = client.fetch(args.job)
-        if not resp.get("ok"):
-            print(resp.get("error"), file=sys.stderr, flush=True)
-            return 1
-        results = resp["results"]
-        print(json.dumps(results, indent=2, sort_keys=True))
-        # solver convergence digest (stderr: stdout stays pipeable JSON)
-        for key in sorted(results):
-            info = (results[key] or {}).get("__solve__")
-            if info:
-                print(f"{key}: solver {info.get('method')} "
-                      f"converged={info.get('converged')} "
-                      f"iterations={info.get('iterations')} "
-                      f"residual={info.get('residual'):.3e}",
-                      file=sys.stderr, flush=True)
-        return 0
-    if args.job:
-        resp = client.poll(args.job)
-        if not resp.get("ok"):
-            print(resp.get("error"), file=sys.stderr, flush=True)
-            return 1
-        return _print_job(resp["job"])
-    views = client.jobs().get("jobs", [])
-    if not views:
-        print("no jobs")
-        return 0
-    rows = [["job", "tenant", "kind", "prio", "status", "done", "store",
-             "computed"]]
-    for v in views:
-        rows.append([v["job_id"], v["tenant"], v.get("kind", "sweep"),
-                     f"{v['priority']:g}",
-                     v["status"], f"{v['completed']}/{v['total']}",
-                     str(v["from_store"]), str(v["recomputed"])])
-    print(report.format_table(rows))
-    # one health line under the table: the service-side view the job
-    # rows alone can't show (queue, breaker, liveness, SLO state).
-    h = client.health()
-    breaker = h.get("breaker", {})
-    print(f"\nservice {h.get('status', '?')} — "
-          f"queue {h.get('queue_depth', '?')}, "
-          f"running {h.get('running') or '-'}, "
-          f"breaker {breaker.get('state', '?')} "
-          f"({breaker.get('trips', 0)} trip(s)), "
-          f"rejected {h.get('rejected_total', 0)}, "
-          f"slo breaches {h.get('slo_breaches', 0)}")
-    return 0
-
-
-def _render_top(health: dict, metrics: dict) -> str:
-    """One dashboard frame: service line, tenant/SLO table, counters."""
-    lines = []
-    breaker = health.get("breaker", {})
-    store = health.get("store", {})
-    jobs = health.get("jobs", {})
-    lines.append(
-        f"sweep service: {health.get('status', '?')} — "
-        f"queue {health.get('queue_depth', '?')}, "
-        f"running {health.get('running') or '-'}, "
-        f"breaker {breaker.get('state', '?')} "
-        f"({breaker.get('trips', 0)} trip(s))")
-    lines.append(
-        f"jobs: " + (", ".join(f"{k}={v}" for k, v in sorted(jobs.items()))
-                     or "none")
-        + f"; store: {store.get('entries', 0)} cache entr(ies); "
-          f"rejected {health.get('rejected_total', 0)}, "
-          f"slo breaches {health.get('slo_breaches', 0)}")
-    lines.append("")
-
-    counters = metrics.get("metrics", {}).get("counters", {})
-
-    def _count(name: str, tenant: str) -> str:
-        return f"{counters.get(f'{name}{{tenant={tenant}}}', 0):g}"
-
-    slo = metrics.get("slo", {})
-    rows = [["tenant", "submit", "reject", "done", "failed",
-             "wait p95 [s]", "rate", "slo"]]
-    for tenant in sorted(slo):
-        v = slo[tenant]
-        wait, rate = v.get("queue_wait", {}), v.get("completion_rate", {})
-        rows.append([
-            tenant,
-            _count("service_submits_total", tenant),
-            _count("service_rejects_total", tenant),
-            _count("service_jobs_done_total", tenant),
-            _count("service_jobs_failed_total", tenant),
-            str(wait.get("p95_s", "-")),
-            "-" if rate.get("rate") is None else f"{rate['rate']:.2f}",
-            "ok" if v.get("ok") else "BREACH",
-        ])
-    if len(rows) > 1:
-        lines.append(report.format_table(rows))
-    else:
-        lines.append("no tenants yet — waiting for submissions")
-    policy = metrics.get("slo_policy", {})
-    if policy:
-        lines.append(
-            f"\nslo policy: queue-wait p95 <= "
-            f"{policy.get('queue_wait_p95_s')}s, completion rate >= "
-            f"{policy.get('completion_rate_min')} "
-            f"(judged after {policy.get('min_events')} event(s))")
-    return "\n".join(lines)
-
-
-def _cmd_top(args) -> int:
-    from repro.service import ServiceClient, ServiceError, stable_status
-
-    client = ServiceClient(args.socket)
-    if args.json and not args.once:
-        print("--json requires --once (the curated snapshot is for "
-              "scripting, not the refresh loop)", file=sys.stderr, flush=True)
-        return 2
-    try:
-        while True:
-            health = client.health()
-            metrics = client.metrics()
-            if args.json:
-                print(json.dumps(stable_status(health, metrics),
-                                 indent=2, sort_keys=True))
-                return 0
-            frame = _render_top(health, metrics)
-            if args.once:
-                print(frame)
-                return 0
-            # home + clear-to-end keeps the frame flicker-free.
-            print(f"\x1b[H\x1b[2J{frame}", flush=True)
-            time.sleep(args.interval)
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr, flush=True)
-        return 1
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1185,10 +756,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "codesign": lambda: _cmd_codesign(args),
         "trace": lambda: _cmd_trace(args),
         "roofline": lambda: _cmd_roofline(args),
-        "serve": lambda: _cmd_serve(args),
-        "submit": lambda: _cmd_submit(args),
-        "jobs": lambda: _cmd_jobs(args),
-        "top": lambda: _cmd_top(args),
     }
     try:
         return handlers[args.command]()

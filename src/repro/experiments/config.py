@@ -66,9 +66,8 @@ def resolve_mesh(mesh: MeshSpec | None) -> tuple[int, int, int]:
 def _check_registries(cfg: "RunConfig") -> None:
     """Reject configs naming unknown machines, rungs, or backends.
 
-    Runs on the loose-input constructors (``from_kwargs`` /
-    ``from_dict``) -- the paths fed by the CLI and the sweep service's
-    wire format -- so bad names fail eagerly with the registry's
+    Runs on the loose-input constructor (``from_kwargs``) -- the path
+    fed by the CLI -- so bad names fail eagerly with the registry's
     spelling list instead of deep inside the first simulation.
     """
     # imported lazily: config is the bottom of the dependency stack.
@@ -145,32 +144,6 @@ class RunConfig:
                 f"vector_size must be at least 1, got {cfg.vector_size}")
         _check_registries(cfg)
         return cfg
-
-    def to_dict(self) -> dict:
-        """JSON-able form (the sweep service's wire format); round-trips
-        through :meth:`from_dict`."""
-        out = {
-            "machine": self.machine,
-            "opt": self.opt,
-            "vector_size": self.vector_size,
-            "mesh_dims": list(self.mesh_dims),
-            "cache_enabled": self.cache_enabled,
-            "field_seed": self.field_seed,
-            "backend": self.backend,
-        }
-        if self.passes is not None:
-            out["passes"] = list(self.passes)
-        if self.solve:
-            out["solve"] = True
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``
-        (same contract as :meth:`from_kwargs`)."""
-        data = dict(data)
-        mesh = data.pop("mesh_dims", None)
-        return cls.from_kwargs(mesh=mesh, **data)
 
     def key(self) -> str:
         """Stable cache key."""

@@ -64,7 +64,6 @@ from repro.metrics.counters import (
     counters_from_dict,
     counters_to_dict,
 )
-from repro.obs.metrics import active as _metrics_active
 from repro.obs.tracer import active as _obs_active
 
 #: bump when the timing model OR the cache payload schema changes so
@@ -278,11 +277,10 @@ def read_cached_payload(cache_dir: str | os.PathLike,
     after checking its content digest.
 
     The digest-checking half of :func:`load_cached_entry`, and the one
-    reader of the run cache: ``repro jobs --results`` serves payloads
-    through it.  Returns ``(payload, "")`` on a hit, ``(None, "")`` for a
-    missing entry, and ``(None, reason)`` when a torn, malformed or
-    digest-mismatching entry, or a ``solve=True`` entry without its
-    ``__solve__`` record, was discarded.
+    reader of the run cache.  Returns ``(payload, "")`` on a hit,
+    ``(None, "")`` for a missing entry, and ``(None, reason)`` when a
+    torn, malformed or digest-mismatching entry, or a ``solve=True``
+    entry without its ``__solve__`` record, was discarded.
 
     :func:`simulate_to_dict` always writes the ``__solve__`` record
     together with phases 9-12, so a solve entry without it holds the
@@ -347,8 +345,7 @@ def write_atomic(target: Path, text: str) -> None:
     The tmp file is fsynced before ``os.replace`` and the directory is
     fsynced after, so a crash at any instant leaves either the old file
     or the complete new one -- never an empty or torn file under the
-    final name.  The one durable writer of the run cache, which is
-    also the sweep service's result store (``state_dir/cache``).
+    final name.  The one durable writer of the run cache.
     """
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
@@ -432,8 +429,8 @@ def simulate_to_dict(cfg: RunConfig) -> dict:
     ``solve=True`` payloads carry the convergence record under the
     reserved ``"__solve__"`` key -- skipped by ``counters_from_dict``
     and excluded from ``payload_digest``, so counter parsing and cache
-    digests are unchanged, while ``repro jobs --results`` / ``repro
-    report`` can surface iterations, residual and the converged flag.
+    digests are unchanged, while ``repro report`` can surface
+    iterations, residual and the converged flag.
     """
     run, info = simulate_run_with_solve(cfg)
     payload = counters_to_dict(run)
@@ -518,7 +515,6 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
     result = ExecutionResult()
     t_start = time.monotonic()
     tracer = _obs_active()
-    registry = _metrics_active()
 
     jstate = replay_journal(journal) if journal is not None else None
     jwriter = SweepJournal(journal) if journal is not None else None
@@ -542,9 +538,6 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
             tracer.event(kind, cat="executor", key=key, attempt=attempt,
                          error=error)
             tracer.counter("queue depth", len(todo))
-        if registry is not None:
-            registry.counter("executor_events_total", kind=kind).inc()
-            registry.gauge("executor_queue_depth").set(len(todo))
         if on_event is None:
             return
         try:
@@ -682,16 +675,7 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
         if use_disk:
             if validate:
                 payload = {**payload, "__validation__": {"ok": True}}
-            if tracer is None:
-                store_payload(cache_dir, cfg, payload)
-            else:
-                # a payload stamped with a ``__trace__`` id (a traced
-                # service job) puts its write on that job's trace.
-                trace = ({"trace": payload["__trace__"]}
-                         if "__trace__" in payload else {})
-                with tracer.span(f"store-write {key}", cat="store",
-                                 key=key, **trace):
-                    store_payload(cache_dir, cfg, payload)
+            store_payload(cache_dir, cfg, payload)
         jrecord("done", key=key)
         emit("done", key, attempt=attempt, wall_s=wall_s)
 
@@ -720,8 +704,8 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
                 result.stats.validation_failures += 1
                 emit("invalid", key, error="; ".join(violations))
                 if use_disk and key in result.runs:
-                    # re-store the entry as it is (``__solve__``,
-                    # ``__trace__`` and the rest) with the new verdict.
+                    # re-store the entry as it is (``__solve__`` and
+                    # the rest) with the new verdict.
                     cfg = cfg_by_key[key]
                     stored, _ = read_cached_payload(cache_dir, cfg)
                     if stored is not None:

@@ -90,8 +90,7 @@ def read_records(path: str | os.PathLike) -> Optional[list[dict]]:
 
     Corruption-tolerant by contract: a torn line — truncated JSON, or
     raw non-UTF8 bytes — is skipped and the intact records around it
-    are recovered, never an exception.  Shared by
-    :func:`replay_journal` and the sweep service's journal replay.
+    are recovered, never an exception.
     """
     try:
         raw = Path(path).read_bytes()

@@ -69,17 +69,8 @@ from repro.faults.injector import (
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.metrics.counters import counters_to_dict
 
-#: stage classifications, best to worst.  ``rejected`` is the service
-#: campaign's third safe outcome: the fault (e.g. a submission flood)
-#: was shed with an explicit refusal — load was lost *visibly*, by
-#: contract, which is as much a success as recovery.  ``degraded`` is
-#: the telemetry plane's outcome: the service kept running but an SLO
-#: was breached, the breach was *detected and journaled* as a
-#: first-class event — degradation the operator was told about, not
-#: degradation that slipped by.
+#: stage classifications, best to worst.
 RECOVERED, DETECTED, CLEAN, SILENT = "recovered", "detected", "clean", "silent"
-REJECTED = "rejected"
-DEGRADED = "degraded"
 
 
 @dataclass
@@ -109,8 +100,7 @@ class ChaosReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {RECOVERED: 0, DETECTED: 0, DEGRADED: 0, REJECTED: 0,
-               CLEAN: 0, SILENT: 0}
+        out = {RECOVERED: 0, DETECTED: 0, CLEAN: 0, SILENT: 0}
         for st in self.stages:
             out[st.classification] = out.get(st.classification, 0) + 1
         return out
@@ -144,8 +134,7 @@ class ChaosReport:
         ]
         for st in self.stages:
             badge = {"silent": "**SILENT**", "detected": "detected",
-                     "recovered": "recovered", "rejected": "rejected",
-                     "degraded": "degraded", "clean": "clean"}.get(
+                     "recovered": "recovered", "clean": "clean"}.get(
                          st.classification, st.classification)
             lines.append(f"| {st.name} | {st.kind} | {st.target or '-'} "
                          f"| {badge} |")
@@ -153,7 +142,6 @@ class ChaosReport:
         lines += [
             "",
             f"**{c[RECOVERED]} recovered · {c[DETECTED]} detected · "
-            f"{c[DEGRADED]} degraded · {c[REJECTED]} rejected · "
             f"{c[CLEAN]} clean · {c[SILENT]} silent** — "
             + ("campaign ok" if self.ok
                else "FAIL: fault(s) silently absorbed"),
@@ -183,18 +171,11 @@ def run_chaos_campaign(seed: int = 0,
                        timeout_s: float = 2.0,
                        verbose: bool = False,
                        pass_faults: bool = False,
-                       service_faults: bool = False,
                        backend: str = "numpy") -> ChaosReport:
     """Run the full seeded campaign; see the module docstring.
 
     With ``pass_faults=True`` the three compiler-model fault kinds are
-    armed as additional sweep stages.  With ``service_faults=True`` the
-    sweep-service drills (hung worker, torn cache entry, submission
-    flood, worker failure storm, kill-mid-sweep + resume) run as extra
-    stages — see :mod:`repro.service.chaos`.  The kill stage spawns a
-    real ``repro serve`` subprocess and SIGKILLs it, so its evidence
-    strings are not byte-deterministic; campaigns compared byte-for-byte
-    should leave it off.  ``backend`` selects the kernel
+    armed as additional sweep stages.  ``backend`` selects the kernel
     execution backend for every semantic stage (digest ladders, golden
     drills); honest results are byte-identical across backends, so the
     report does not depend on the choice — only the wall-clock does.
@@ -551,14 +532,6 @@ def run_chaos_campaign(seed: int = 0,
             ]))
         solver_specs.append(FaultSpec(kind="torn_spmv_gather",
                                       target_key=target))
-
-        # -- service drills: the supervised sweep service under fire ------
-        if service_faults:
-            from repro.service.chaos import append_service_stages
-
-            append_service_stages(report, seed=seed, mesh=mesh,
-                                  scratch=scratch / "service",
-                                  verbose=verbose)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

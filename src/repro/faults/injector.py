@@ -445,34 +445,6 @@ class PassFaultyWorker:
         return payload
 
 
-class DelayedWorker:
-    """An honest ``simulate_to_dict`` with a fixed per-run stall.
-
-    The service kill drill needs a window in which SIGKILL reliably
-    lands *mid-sweep*; stretching every run by ``delay_s`` provides it
-    without touching results.  Picklable (plain data only) so it crosses
-    the pool boundary; also the implementation behind the ``repro serve
-    --worker-delay`` chaos hook.
-    """
-
-    def __init__(self, delay_s: float):
-        self.delay_s = float(delay_s)
-
-    def __call__(self, cfg: RunConfig) -> dict:
-        if self.delay_s > 0:
-            time.sleep(self.delay_s)
-        return simulate_to_dict(cfg)
-
-
-class AlwaysCrashWorker:
-    """Crashes on every call — the worker-failure storm that must trip
-    the service's circuit breaker.  Picklable."""
-
-    def __call__(self, cfg: RunConfig) -> dict:
-        raise RuntimeError(
-            f"injected fault: worker failure storm on {cfg.key()}")
-
-
 class InterruptingWorker:
     """Completes ``stop_after`` runs, then raises ``KeyboardInterrupt`` —
     the journal-resume drill's stand-in for Ctrl-C / SIGINT mid-sweep.

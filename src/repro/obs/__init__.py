@@ -14,11 +14,7 @@ threaded through every layer:
 * :mod:`repro.obs.workers` -- per-worker trace files merged across the
   executor's process pool;
 * :mod:`repro.obs.gate` -- the ``repro bench --baseline`` per-phase
-  cycle regression gate;
-* :mod:`repro.obs.metrics` -- the aggregate view: a lock-safe registry
-  of counters/gauges/histograms with its own ambient slot
-  (``metrics.use`` / ``metrics.active``), published into by the sweep
-  service and executor (see :mod:`repro.service.telemetry`).
+  cycle regression gate.
 
 The Paraver exporter and trace analysis stay in :mod:`repro.trace`
 (they operate on the same tracer).
@@ -33,8 +29,7 @@ Typical use::
     obs.chrome.dump(tracer, "t.json")       # open in chrome://tracing
 """
 
-from repro.obs import chrome, gate, metrics, render, workers
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import chrome, gate, render, workers
 from repro.obs.tracer import (
     NULL_TRACER,
     CounterSample,
@@ -53,7 +48,6 @@ from repro.obs.tracer import (
 __all__ = [
     "CounterSample",
     "InstrEvent",
-    "MetricsRegistry",
     "NULL_TRACER",
     "PointEvent",
     "SpanRecord",
@@ -64,7 +58,6 @@ __all__ = [
     "current",
     "event",
     "gate",
-    "metrics",
     "render",
     "span",
     "use",

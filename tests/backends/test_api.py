@@ -4,6 +4,9 @@ Registry resolution, the package-level exports, and the shared ``Probe``
 spec that the validation entry points take positionally.
 """
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -19,6 +22,11 @@ from repro.experiments.config import RunConfig
 from repro.validation import Probe
 from repro.validation.golden import golden_check
 from repro.validation.probe import PROBE_MESH, PROBE_VECTOR_SIZE
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
+    import tomli as tomllib
 
 
 # -- registry ----------------------------------------------------------
@@ -56,12 +64,29 @@ def test_backends_satisfy_protocol():
 
 
 def test_package_exports():
-    assert repro.__version__ == "1.5.0"
+    assert repro.__version__ == "2.0.0"
     for name in ("BACKENDS", "ExecutionBackend", "get_backend", "Probe"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
     assert repro.get_backend is get_backend
     assert repro.Probe is Probe
+
+
+def test_distribution_version_is_the_package_version():
+    """The version pyproject.toml builds the distribution with resolves
+    to ``repro.__version__`` (read the way setuptools reads a
+    ``dynamic`` version), so the two cannot drift apart."""
+    root = Path(__file__).resolve().parents[2]
+    meta = tomllib.loads((root / "pyproject.toml").read_text())
+    project = meta["project"]
+    if "version" in project:
+        declared = project["version"]
+    else:
+        assert "version" in project["dynamic"]
+        attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        module, _, name = attr.rpartition(".")
+        declared = getattr(importlib.import_module(module), name)
+    assert declared == repro.__version__
 
 
 # -- Probe -------------------------------------------------------------

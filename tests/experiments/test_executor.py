@@ -287,26 +287,18 @@ def test_run_config_from_kwargs_rejects_junk():
 
 @pytest.mark.parametrize("vs", [0, -8])
 def test_run_config_rejects_vector_size_below_one(vs):
-    # the CLI and the service wire build configs through these two.
+    # the CLI builds configs through this constructor.
     with pytest.raises(ValueError, match="vector_size"):
         RunConfig.from_kwargs(mesh="tiny", vs=vs)
-    wire = {**RunConfig(mesh_dims=TINY).to_dict(), "vector_size": vs}
-    with pytest.raises(ValueError, match="vector_size"):
-        RunConfig.from_dict(wire)
 
 
 def test_run_config_solve_round_trips():
     cfg = RunConfig(opt="vanilla", vector_size=16, mesh_dims=TINY, solve=True)
     assert cfg.key().endswith("-solve")
-    wire = cfg.to_dict()
-    assert wire["solve"] is True
-    assert RunConfig.from_dict(wire) == cfg
-    # off by default: no dict key, no key suffix -- existing caches and
-    # bench baselines keep their spelling.
+    # off by default: no key suffix -- existing caches and bench
+    # baselines keep their spelling.
     plain = RunConfig(opt="vanilla", vector_size=16, mesh_dims=TINY)
-    assert "solve" not in plain.to_dict()
     assert not plain.key().endswith("-solve")
-    assert RunConfig.from_dict(plain.to_dict()) == plain
 
 
 def test_simulate_to_dict_solve_payload():

@@ -205,22 +205,3 @@ def test_tracing_off_leaves_cycle_counts_identical():
     with obs.use(Tracer()):
         traced = counters_to_dict(app.run_timed(RISCV_VEC))
     assert bare == traced
-
-
-def test_tracing_and_metrics_off_is_the_seed_hot_path():
-    """Satellite (PR 8): the metrics registry joins the zero-cost
-    contract — with both ambient planes disabled the hot assembly path
-    produces counters identical to the seed, and enabling both together
-    still never perturbs the timing model."""
-    from repro.cfd.assembly import MiniApp
-    from repro.cfd.mesh import box_mesh
-    from repro.machine.machines import RISCV_VEC
-    from repro.metrics.counters import counters_to_dict
-    from repro.obs import metrics
-
-    assert metrics.active() is None  # the default: disabled
-    app = MiniApp(box_mesh(4, 4, 4), vector_size=64, opt="vec1")
-    bare = counters_to_dict(app.run_timed(RISCV_VEC))
-    with obs.use(Tracer()), metrics.use(metrics.MetricsRegistry()):
-        instrumented = counters_to_dict(app.run_timed(RISCV_VEC))
-    assert bare == instrumented

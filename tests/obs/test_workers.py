@@ -108,7 +108,8 @@ def test_merged_export_deterministic_across_pid_assignments(tmp_path):
 
 def test_service_worker_span_merge_is_deterministic(tmp_path):
     """Two identical traced sweeps through the pool path produce the
-    same merged service+worker span ordering (pid-remapped, key-sorted)."""
+    same merged coordinator+worker span ordering (pid-remapped,
+    key-sorted)."""
     plan = ExecutionPlan.from_configs([_cfg(16), _cfg(64), _cfg(128)])
 
     def run(name):

@@ -119,28 +119,6 @@ def test_parser_rejects_unknown_backend_listing_registry(capsys):
     assert "interpreter" in err and "numpy" in err
 
 
-def test_parser_accepts_service_commands():
-    args = build_parser().parse_args(["serve", "--state-dir", "x"])
-    assert args.command == "serve"
-    args = build_parser().parse_args(["submit", "--ladder", "--wait"])
-    assert args.command == "submit" and args.ladder and args.wait
-    args = build_parser().parse_args(["jobs", "--health"])
-    assert args.command == "jobs" and args.health
-    args = build_parser().parse_args(["chaos", "--service-faults"])
-    assert args.service_faults
-
-
-def test_parser_accepts_telemetry_commands():
-    args = build_parser().parse_args(["top", "--once", "--json"])
-    assert args.command == "top" and args.once and args.json
-    assert args.interval == 2.0
-    args = build_parser().parse_args(["submit", "--trace"])
-    assert args.trace
-    args = build_parser().parse_args(
-        ["trace", "--job", "j00001", "--state-dir", "svc"])
-    assert args.job == "j00001" and args.state_dir == "svc"
-
-
 @pytest.mark.parametrize("vs", ["0", "-8"])
 def test_autotune_bad_vector_size_exits_1(vs, tmp_path, capsys,
                                           monkeypatch):
@@ -154,48 +132,15 @@ def test_autotune_bad_vector_size_exits_1(vs, tmp_path, capsys,
 
 @pytest.mark.parametrize("vs", ["0", "-8"])
 @pytest.mark.parametrize("command", ["remarks", "passes", "advise",
-                                     "codesign", "trace", "roofline",
-                                     "submit"])
+                                     "codesign", "trace", "roofline"])
 def test_single_run_bad_vector_size_exits_1(command, vs, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--mesh", "tiny", "--vs", vs]
-    if command == "submit":
-        argv += ["--socket", str(tmp_path / "absent.sock")]
-    assert main(argv) == 1
+    assert main([command, "--mesh", "tiny", "--vs", vs]) == 1
     err = capsys.readouterr().err
     assert f"[{command}] vector_size must be at least 1, got {vs}" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_trace_job_without_export_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code = main(["trace", "--job", "j99999", "--state-dir", str(tmp_path)])
-    assert code == 1
-    assert "no trace for job j99999" in capsys.readouterr().err
-
-
-def test_trace_job_renders_exported_timeline(tmp_path, capsys):
-    from repro.experiments.config import RunConfig
-    from repro.service.core import SweepService
-
-    svc = SweepService(str(tmp_path / "svc"))
-    cfg = RunConfig(opt="vanilla", vector_size=16, mesh_dims=(4, 4, 4))
-    resp = svc.submit([cfg], tenant="alice", trace_id="cafe0123cafe0123")
-    svc.process_next()
-    svc.close()
-    code, out = run_cli(capsys, "trace", "--job", resp["job_id"],
-                        "--state-dir", str(tmp_path / "svc"))
-    assert code == 0
-    assert "trace cafe0123cafe0123" in out
-    # the single cross-process timeline, stage-ordered.
-    for span in ("client-submit", "queue-wait", "worker-execute",
-                 "store-write"):
-        assert span in out
-    assert out.index("client-submit") < out.index("queue-wait") \
-        < out.index("worker-execute") < out.index("store-write")
-    assert "all spans share trace id cafe0123cafe0123" in out
 
 
 def test_roofline_command(capsys):
@@ -314,6 +259,18 @@ def test_bench_rejects_threshold_before_simulating(threshold, tmp_path,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"'{threshold}' is not a finite number >= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_negative_jobs_before_simulating(tmp_path, capsys,
+                                                      monkeypatch):
+    """Only ``-j 0`` means one worker per CPU: a negative count is
+    rejected by argparse (exit 2) before anything runs or is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--mesh", "tiny", "-j", "-3"])
+    assert exc.value.code == 2
+    assert "'-3' is not an integer >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
