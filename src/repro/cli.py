@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs(p)
     p.add_argument("--profile", choices=("smoke", "standard"),
                    default="standard",
-                   help="smoke = 3 runs, standard = the full ~50-run sweep")
+                   help="smoke = 4 runs (three assembly runs and one "
+                        "assemble+solve run), standard = the full ~50-run "
+                        "sweep")
     p.add_argument("-o", "--output", default="BENCH_report.json",
                    help="benchmark report path (JSON)")
     p.add_argument("--baseline", default=None, metavar="PATH",

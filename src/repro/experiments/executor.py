@@ -819,8 +819,9 @@ def _run_pool(queue: deque, worker: Worker, jobs: int,
                     if ready_at > now:  # backing off: try the next entry
                         queue.rotate(-1)
                         continue
-                    queue.popleft()
+                    # a broken pool refuses the run: it stays queued.
                     fut = pool.submit(worker, cfg)
+                    queue.popleft()
                     pending[fut] = (cfg, attempt, now)
                     emit("start", cfg.key(), attempt=attempt)
                 if not pending:

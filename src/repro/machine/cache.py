@@ -30,15 +30,17 @@ run.
 
 What the hierarchy is fed.  :meth:`MemoryHierarchy.access` takes a run's
 streams in order -- every chunk's kernels, each kernel's streams -- in
-one call, each stream either byte addresses or :class:`Lines`: a stream
-its producer already collapsed to consecutive-distinct lines, with the
-element count it stands for.  A producer collapses an affine stream of
-at most one line's stride without its element addresses
-(:func:`strided_lines`), and any other stream from them
-(:func:`dedup_consecutive`, or :func:`dedup_rows` for many chunks'
-copies of one stream at once).  Batches run across stream, kernel and
-chunk boundaries; the call returns each stream's misses as
-:class:`Charges`, a few arrays however many streams the run has.
+one call, as items that are each either one stream's byte addresses or
+:class:`Lines`: streams their producer already collapsed to
+consecutive-distinct lines, back to back, with the element count each
+stands for and where each one's lines end.  The machine
+(:mod:`repro.machine.cpu`) sends one :class:`Lines` per kernel and
+chunk: it builds an affine stream's lines from its address coefficients
+and a gather's from its element addresses (:func:`dedup_rows`, many
+chunks' copies of one stream at once).  Batches run across stream,
+kernel and chunk boundaries, and the batches inside one item are views
+of it; the call returns each stream's misses as :class:`Charges`, a few
+arrays however many streams the run has.
 
 Weighted lines.  A producer may fold the loops of a stream that repeat
 its addresses (:mod:`repro.machine.cpu`): it keeps three iterations of
@@ -138,60 +140,20 @@ def dedup_rows(lines: np.ndarray, weights: Optional[np.ndarray] = None
     return Rows(lines[keep], offsets, weights)
 
 
-def strided_lines(starts: np.ndarray, stride: int, length: int, count: int,
-                  line_bytes: int, weights: Optional[np.ndarray] = None
-                  ) -> Rows:
-    """:func:`dedup_rows` of strided streams, without their addresses.
-
-    Each row of *starts* is one stream: the byte address of the first
-    element of each of its runs, in order.  A run is *length* elements
-    *stride* bytes apart, and the stream is the first *count* elements
-    of its runs, so its last run may be cut short.  With ``|stride|`` at
-    most *line_bytes* a run never skips a line: its consecutive-distinct
-    lines are the range from its first element's line to its last's, and
-    it repeats a line of the run before it only at the seam.  *weights*,
-    if given, holds each run's weight, broadcast against a row, and every
-    line a run keeps weighs that.
-    """
-    if abs(stride) > line_bytes:
-        raise ValueError(f"stride {stride} is wider than a {line_bytes}-byte "
-                         "line")
-    offsets = np.zeros(starts.shape[0] + 1, dtype=np.int64)
-    if count == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return Rows(empty, offsets, None if weights is None else empty)
-    runs = -(-count // length)
-    elems = np.full(runs, length, dtype=np.int64)
-    elems[-1] = count - (runs - 1) * length
-    first = addresses_to_lines(starts[:, :runs], line_bytes)
-    last = addresses_to_lines(starts[:, :runs] + stride * (elems - 1),
-                              line_bytes)
-    step = -1 if stride < 0 else 1
-    size = np.abs(last - first) + 1
-    # a run whose first line is the line the run before it ended on.
-    seam = first[:, 1:] == last[:, :-1]
-    first[:, 1:] += step * seam
-    size[:, 1:] -= seam
-    np.cumsum(size.sum(axis=1), out=offsets[1:])
-    if weights is not None:
-        weights = np.repeat(np.broadcast_to(weights[:runs], size.shape),
-                            size.reshape(-1))
-    size = size.reshape(-1)
-    begin = np.cumsum(size) - size
-    lines = np.repeat(first.reshape(-1) - step * begin, size)
-    lines += step * np.arange(lines.size, dtype=np.int64)
-    return Rows(lines, offsets, weights)
-
-
 class Lines(NamedTuple):
-    """One access stream already collapsed to consecutive-distinct cache
-    lines (``None`` for a hierarchy that is off), and the number of
-    element accesses it stands for.  A folded stream's lines carry
-    *weights*: the accesses each stands for (``None``: one each)."""
+    """Access streams already collapsed to consecutive-distinct cache
+    lines, back to back (``None`` for a hierarchy that is off), and the
+    element accesses each stream stands for.  Folded streams' lines
+    carry *weights*: the accesses each stands for (``None``: one each).
+
+    One stream has an ``int`` element count and no *ends*.  N streams
+    have an int64 array of N element counts and, with lines, *ends*:
+    where each stream's lines end in *lines*."""
 
     lines: Optional[np.ndarray]
-    elements: int
+    elements: "int | np.ndarray"
     weights: Optional[np.ndarray] = None
+    ends: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,27 +180,40 @@ class Charges:
 
 def _batches(chunks: Iterable[tuple[np.ndarray, Optional[np.ndarray]]]
              ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Regroup ``(lines, weights)`` pairs into whole multiples of
+    """Regroup ``(lines, weights)`` pairs into batches of
     :data:`BATCH_LINES` lines (the last one shorter), in order.  A
-    batch's weights are ``None`` when none of its lines carry one."""
+    batch's weights are ``None`` when none of its lines carry one.
+
+    Only a batch that spans pairs is copied together; the batches inside
+    one pair are views of it.  No view of a pair is held while the next
+    pair is built."""
     pending: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
     size = 0
-    for chunk in chunks:
-        pending.append(chunk)
-        size += chunk[0].size
-        if size >= BATCH_LINES:
-            lines, weights = _join(pending)
-            cut = size - size % BATCH_LINES
-            yield lines[:cut], None if weights is None else weights[:cut]
-            pending = [(lines[cut:],
-                        None if weights is None else weights[cut:])]
-            size -= cut
+    for lines, weights in chunks:
+        at = 0
+        while at < lines.size:
+            cut = slice(at, min(at + BATCH_LINES - size, lines.size))
+            at = cut.stop
+            if cut.stop - cut.start == BATCH_LINES:  # a whole batch: a view
+                yield lines[cut], None if weights is None else weights[cut]
+                continue
+            pending.append((lines[cut],
+                            None if weights is None else weights[cut]))
+            size += cut.stop - cut.start
+            if size == BATCH_LINES:
+                yield join_lines(pending)
+                pending, size = [], 0
+        if pending and pending[-1][0].size < lines.size:
+            # a view of the pair's tail would hold the whole pair.
+            pending[-1] = tuple(None if a is None else a.copy()
+                                for a in pending[-1])
+        del lines, weights
     if size:
-        yield _join(pending)
+        yield join_lines(pending)
 
 
-def _join(parts: list[tuple[np.ndarray, Optional[np.ndarray]]]
-          ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def join_lines(parts: list[tuple[np.ndarray, Optional[np.ndarray]]]
+               ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One ``(lines, weights)`` pair of *parts*, in order."""
     lines = np.concatenate([p[0] for p in parts])
     if all(p[1] is None for p in parts):
@@ -486,10 +461,10 @@ class MemoryHierarchy:
 
         A stream of byte addresses is collapsed to consecutive-distinct
         cache lines as it arrives and its addresses are dropped; a
-        :class:`Lines` stream arrives collapsed.  L1 decides the lines
-        in batches as they accumulate, across stream boundaries; L2
-        decides L1's misses, in order, in its own batches, lagging
-        behind L1.
+        :class:`Lines` item arrives collapsed, one or many streams.  L1
+        decides the lines in batches as they accumulate, across stream
+        boundaries; L2 decides L1's misses, in order, in its own
+        batches, lagging behind L1.
 
         Returns every stream's :class:`Charges`.  A stream's penalty is
         ``l1_misses * l1.miss_penalty``, plus ``l2_misses *
@@ -511,17 +486,26 @@ class MemoryHierarchy:
                         addrs, line_bytes)) if self.enabled else None,
                         int(addrs.size))
                     del addrs  # not held while the caches run
-                elements.append(stream.elements)
+                # one stream, or many: a count and an end each.
+                elements.frombytes(
+                    np.asarray(stream.elements, dtype=np.int64).tobytes())
                 if self.enabled:
+                    ends = (stream.lines.size if stream.ends is None
+                            else stream.ends)
+                    l1.bounds.frombytes(
+                        np.asarray(ends + end, dtype=np.int64).tobytes())
                     end += stream.lines.size
-                    l1.bounds.append(end)
                     yield stream.lines, stream.weights
+                del stream  # not held while the next item is built
 
         def l1_missed():
             for batch, weights in _batches(lines()):
                 miss = self.l1.access_lines(batch, weights)
                 l1.add(miss, weights)
-                yield batch[miss], None if weights is None else weights[miss]
+                missed = (batch[miss],
+                          None if weights is None else weights[miss])
+                del batch, weights  # views of an item, as above
+                yield missed
 
         if self.l2 is None:
             for _ in l1_missed():

@@ -19,22 +19,30 @@ A run is one loop domain over (chunk, kernel, block, access).
 :class:`~repro.compiler.program.KernelInstance` and the chunk-base value
 of every chunk the run visits: the chunks' instances would differ only
 in the :data:`~repro.compiler.program.CHUNK_BASE` index constant.
-:class:`RunStreams` classifies each access descriptor once per run.  A
-stream that reads neither the chunk base nor a gather table is the same
-in every chunk: it is collapsed to cache lines once and reused (within
-:data:`REUSE_LINES`).  Every other stream is evaluated once per group of
-chunks (:data:`GROUP_ACCESSES`), with the chunk base as a leading grid
-axis, and collapsed row by row.  With the cache off no line is needed:
+:class:`RunStreams` sets up each kernel's access streams once per run
+and feeds the hierarchy one :class:`~repro.machine.cache.Lines` per
+chunk and kernel: the kernel's streams back to back, with each one's
+line end and element count.  With the cache off no line is needed:
 element counts follow from grid sizes and access weights, and only the
 gathers are evaluated, for their index checks.
 
-Each stream's own geometry picks how it becomes lines.  One that reads
-no gather table and strides at most half a line along its innermost
-loop takes the closed form
-(:func:`~repro.machine.cache.strided_lines`): one address per row of
-its grid, and each row is the range of lines between its first and last
-element's.  Any other stream is evaluated element by element, and its
-lines are shifted out of the addresses and de-duplicated.
+A stream that reads no gather table is affine: its byte address is
+``a0 + sum(k_v * v) + k_cb * chunk_base`` over its loop variables
+(:func:`_coefficients`), and its lines follow from those coefficients
+alone, without its element addresses.  It is cut into segments: one
+innermost row of its grid when it strides at most one line along its
+innermost loop, else one element.  A segment's consecutive-distinct
+lines are the range from its first element's line to its last's, and
+the seam -- a segment whose first line is the line the segment before
+it in the same stream ended on -- drops that line.  All of a kernel's
+segments are laid out in one vectorized pass once per run; a segment
+whose stream does not read the chunk base keeps its run of lines (first
+line, length, weight) for the whole run, and one that does is moved by
+``k_cb`` times each chunk's base, once per group of chunks
+(:data:`GROUP_ACCESSES`).  A gather is evaluated element by element
+once per group of chunks, with the chunk base as a leading grid axis,
+and its lines are shifted out of the addresses and de-duplicated row by
+row.
 
 Either way a stream's lines are built over its kept grid.  A repeat
 loop of a stream is an outer loop of more than
@@ -98,29 +106,20 @@ from repro.machine.cache import (
     Rows,
     addresses_to_lines,
     dedup_rows,
-    strided_lines,
+    join_lines,
 )
 from repro.machine.params import MachineParams
 from repro.machine.vpu import VPUModel
 from repro.metrics.counters import PhaseCounters, RunCounters
 
-#: chunk-dependent element accesses of one kernel evaluated at once: the
-#: kernel's chunk group spans as many chunks as fit, and the group's lines
-#: are held until its last chunk has run.  A quick-mesh vec1 run at
+#: chunk-dependent element accesses of one kernel built at once: the
+#: kernel's chunk group spans as many chunks as fit, and what the group
+#: built is held until its last chunk has run.  A quick-mesh vec1 run at
 #: VECTOR_SIZE 16 (60 chunks; on a 2.1 GHz Xeon) took 0.73 s with
 #: one-chunk groups and 0.46 s at 1 << 15, for 0.2 MB more peak resident
 #: memory (42.0 MB); 1 << 17 was no faster and held 0.9 MB more.  A
 #: constant, not an option, for that reason.
 GROUP_ACCESSES = 1 << 15
-
-#: lines of chunk-invariant streams a run keeps for reuse (8 bytes each,
-#: and 8 more for the weight of a folded stream's line).
-#: A chunk's invariant streams are about 52k lines at VECTOR_SIZE 16, 210k
-#: at 64 and 790k at 240.  With 1 << 17 the quick-mesh vec1 run at VS 16
-#: took 0.48 s (1.14 s with no reuse), and the VS 240 run (4 chunks, the
-#: budget full) peaked at 44.7 MB against 43.8 MB with no reuse; 1 << 18
-#: added another 0.8 MB for a gain at VS 64 alone.
-REUSE_LINES = 1 << 17
 
 #: iterations of a repeat loop a stream keeps: the hierarchy depth plus
 #: one.  A cache level fed a repeating period decides identically from
@@ -188,9 +187,6 @@ class _Stream(NamedTuple):
     gathers: bool
     #: differs from chunk to chunk: reads the chunk base or a gather table.
     varies: bool
-    #: byte stride along the innermost loop (0 with no loop); ``None``
-    #: for a gather.
-    stride: Optional[int]
 
 
 def _kernel_streams(compiled: CompiledKernel) -> list[_Stream]:
@@ -210,14 +206,8 @@ def _kernel_streams(compiled: CompiledKernel) -> list[_Stream]:
             elements = (int(round(size * desc.weight)) if desc.weight < 1.0
                         else size)
             gathers = ref.has_indirect()
-            if gathers:
-                stride = None
-            elif loop_vars:
-                stride = ref.stride_along(loop_vars[-1]) * ref.array.itemsize
-            else:
-                stride = 0
             out.append(_Stream(ref, loop_vars, extents, elements, gathers,
-                               gathers or CHUNK_BASE in ref.vars(), stride))
+                               gathers or CHUNK_BASE in ref.vars()))
     return out
 
 
@@ -258,25 +248,197 @@ def _fold(stream: _Stream) -> _Fold:
     return _Fold(tuple(outer), math.prod(outer), weights.reshape(-1))
 
 
+def _coefficients(ref: Ref, loop_vars: tuple[str, ...],
+                  instance: KernelInstance, chunked: bool
+                  ) -> tuple[int, list[int], int]:
+    """A gather-free *ref*'s byte address as ``a0 + sum(k_v * v) +
+    k_cb * chunk_base``: ``(a0, [k_v for v in loop_vars], k_cb)``.
+
+    Index constants are bound as :func:`~repro.compiler.program.
+    byte_addresses` binds them and folded into ``a0``; so is the chunk
+    base, unless *chunked* (a run over many chunk bases)."""
+    coef = dict.fromkeys(loop_vars, 0)
+    a0 = instance.binding(ref.array.name).base_addr
+    k_cb = 0
+    consts = instance.index_consts
+    for stride, index in zip(ref.array.strides_elems, ref.idx):
+        scale = ref.array.itemsize * stride
+        a0 += scale * index.const
+        for var, c in index.terms:
+            if var in coef:
+                coef[var] += scale * c
+            elif chunked and var == CHUNK_BASE:
+                k_cb += scale * c
+            elif var in consts:
+                a0 += scale * c * consts[var]
+            else:
+                raise KeyError(f"loop variable {var!r} not bound in "
+                               "environment")
+    return a0, list(coef.values()), k_cb
+
+
+class _Segments(NamedTuple):
+    """A kernel's gather-free streams cut into segments, in stream order.
+
+    A segment is one innermost row of a stream's kept grid when the
+    stream strides at most one line along its innermost loop, and one
+    element otherwise.  Either way its consecutive-distinct lines are
+    the range from its first element's line to its last's."""
+
+    #: each segment's first element's byte address, less the chunk
+    #: base's term.
+    start: np.ndarray
+    #: bytes from a segment's first element to its last.
+    span: np.ndarray
+    #: the chunk base's coefficient: 0 for a segment that is the same in
+    #: every chunk.
+    chunk: np.ndarray
+    #: 1, or -1 for a segment whose lines descend; ``None`` when every
+    #: segment's ascend.
+    step: Optional[np.ndarray]
+    #: the weight of each segment's lines; ``None`` when no stream is
+    #: folded.
+    weight: Optional[np.ndarray]
+    #: continues the stream of the segment before it, so its first line
+    #: may be the seam: the line that segment ended on.
+    joins: np.ndarray
+    #: for each stream of the kernel, gathers too (they have none): the
+    #: segments of the streams up to and including it.
+    stop: np.ndarray
+
+    def take(self, index: np.ndarray) -> "_Segments":
+        """The segments at *index*, in order, without their streams'
+        stops."""
+        return _Segments(*(None if a is None else a[index]
+                           for a in self[:-1]), None)
+
+
+def _segments(streams: Sequence[_Stream], instance: KernelInstance,
+              line_bytes: int, chunked: bool) -> _Segments:
+    """The segments of every gather-free stream of *streams* over its
+    kept grid (:func:`_fold`), the address of each segment's first
+    element from the stream's coefficients (:func:`_coefficients`).
+    The streams are set up one by one; their segments are laid out in
+    one pass."""
+    heads, grids, folded, stop = [], [], [], []
+    for stream in streams:
+        if not stream.gathers:
+            fold = _fold(stream)
+            a0, coef, k_cb = _coefficients(stream.ref, stream.loop_vars,
+                                           instance, chunked)
+            axes = list(zip(fold.shape, coef))[::-1]  # innermost first
+            weights = fold.weights
+            stride = coef[-1] if coef else 0
+            if abs(stride) <= line_bytes:  # a segment per innermost row
+                length, axes = fold.shape[-1], axes[1:]
+            else:  # a segment per element
+                length, stride = 1, 0
+                if weights is not None:
+                    weights = np.repeat(weights, fold.shape[-1])
+            count = -(-fold.count // length)
+            if weights is not None:
+                folded.append((len(heads), weights))
+            # the stream's last segment may be cut short by its access
+            # weight.
+            heads.append((a0, count, k_cb, stride < 0, stride * (length - 1),
+                          stride * (fold.count - (count - 1) * length - 1)))
+            grids.append(axes)
+        stop.append(len(heads))
+    a0, n, k_cb, descends, span, last = np.array(
+        heads, dtype=np.int64).reshape(-1, 6).T
+    cum = np.zeros(n.size + 1, dtype=np.int64)
+    np.cumsum(n, out=cum[1:])
+    has = n > 0
+    # each segment's position in its stream's kept grid, innermost axis
+    # first, and the address each axis adds.
+    local = np.arange(cum[-1], dtype=np.int64) - np.repeat(cum[:-1], n)
+    start = np.repeat(a0, n)
+    depth = max(map(len, grids), default=0)
+    axes = np.repeat(np.array([g + [(1, 0)] * (depth - len(g))
+                               for g in grids], dtype=np.int64).reshape(
+                                   len(grids), depth, 2), n, axis=0)
+    for axis in range(depth):
+        start += axes[:, axis, 1] * (local % axes[:, axis, 0])
+        local //= axes[:, axis, 0]
+    span = np.repeat(span, n)
+    span[cum[1:][has] - 1] = last[has]
+    weight = None
+    if folded:
+        weight = np.ones(start.size, dtype=np.int64)
+        for i, w in folded:
+            weight[cum[i]:cum[i + 1]] = w
+    joins = np.ones(start.size, dtype=bool)
+    joins[cum[:-1][has]] = False
+    step = 1 - 2 * np.repeat(descends, n) if descends.any() else None
+    return _Segments(start, span, np.repeat(k_cb, n), step, weight, joins,
+                     cum[stop])
+
+
+def _runs(seg: _Segments, bases: Optional[np.ndarray], shift: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's run of lines, a row per chunk base in *bases* (one
+    row, on the start addresses alone, for ``None``): its first line and
+    its length.  A segment whose first line is the one the segment
+    before it in its stream ended on drops it, as consecutive-distinct
+    lines do."""
+    start = (seg.start if bases is None
+             else seg.start + seg.chunk * bases[:, None])
+    first = start >> shift
+    last = (start + seg.span) >> shift
+    size = np.abs(last - first) + 1
+    seam = seg.joins[1:] & (first[..., 1:] == last[..., :-1])
+    first[..., 1:] += seam if seg.step is None else seg.step[1:] * seam
+    size[..., 1:] -= seam
+    return first, size
+
+
+def _expand(first: np.ndarray, size: np.ndarray, begin: np.ndarray,
+            step: Optional[np.ndarray]) -> np.ndarray:
+    """Every line of each run in turn: *size* lines from *first*, *step*
+    apart, the run's first at *begin*.  Line ``t`` of a run is
+    ``first + step * (t - begin)``."""
+    total = int(begin[-1] + size[-1]) if size.size else 0
+    if step is None:
+        lines = np.repeat(first - begin, size)
+        lines += np.arange(total)
+    else:
+        lines = np.repeat(first - step * begin, size)
+        lines += np.repeat(step, size) * np.arange(total)
+    return lines
+
+
 @dataclass
 class _KernelStreams:
-    """One kernel's streams in a run, and the chunk group it is in: the
-    chunk-dependent streams' lines for chunks ``start`` on, by stream
-    index (one row per chunk, :class:`~repro.machine.cache.Rows`)."""
+    """One kernel's streams in a run, and the chunk group it is in."""
 
     streams: list[_Stream]
+    #: each stream's element accesses per chunk.
+    elements: np.ndarray
     #: chunks one group spans.
     group: int
     #: runs of the kernel per chunk (a program may repeat a kernel).
     repeats: int
-    #: the streams as a hierarchy that is off takes them, element counts
-    #: alone: built once, where a new ``Lines`` per stream and chunk took
-    #: a quarter of a quick-mesh scalar@16 run with the cache off.
-    bare: list[Lines]
+    #: with the cache on, each gather-free segment's run of lines: its
+    #: first line and length (a moving segment's are set per chunk); the
+    #: segments' steps and weights, and each stream's stop, as in
+    #: :class:`_Segments`.
+    first: Optional[np.ndarray] = None
+    size: Optional[np.ndarray] = None
+    step: Optional[np.ndarray] = None
+    weight: Optional[np.ndarray] = None
+    stop: Optional[np.ndarray] = None
+    #: the segments that move with the chunk base (their streams read
+    #: it): their indices, and those segments.
+    moving: Optional[np.ndarray] = None
+    moves: Optional[_Segments] = None
     start: int = 0
     #: runs of the kernel left in the group.
     uses: int = 0
-    rows: dict[int, Optional[Rows]] = field(default_factory=dict)
+    #: the group's moving segments' runs (first lines, lengths), a row
+    #: per chunk.
+    runs: Optional[tuple[np.ndarray, np.ndarray]] = None
+    #: the group's gathers' lines by stream index, a row per chunk.
+    rows: dict[int, Rows] = field(default_factory=dict)
 
 
 class RunStreams:
@@ -284,11 +446,11 @@ class RunStreams:
     a sequence of chunks that differ only in their chunk base.
 
     :meth:`run` yields every stream of the run, chunk by chunk and each
-    chunk's kernels in program order, as
-    :class:`~repro.machine.cache.Lines` for
+    chunk's kernels in program order, one
+    :class:`~repro.machine.cache.Lines` per chunk and kernel for
     :meth:`~repro.machine.cache.MemoryHierarchy.access`.  All the work is
-    lazy: a kernel's streams are classified on its first run, and lines
-    are built as the hierarchy consumes them.
+    lazy: a kernel's streams are set up on its first run, and lines are
+    built as the hierarchy consumes them.
     """
 
     def __init__(self, kernels: Sequence[CompiledKernel],
@@ -303,13 +465,13 @@ class RunStreams:
         self.nchunks = 1 if self.bases is None else self.bases.size
         self.enabled = memory.enabled
         self.line_bytes = memory.params.l1.line_bytes
+        self._shift = self.line_bytes.bit_length() - 1
         self._repeats = Counter(id(k) for k in kernels)
         self._kernels: dict[int, _KernelStreams] = {}
-        self._reused: dict[tuple[int, int], Lines] = {}
-        self._budget = REUSE_LINES if self.enabled and self.nchunks > 1 else 0
 
     def _classify(self, compiled: CompiledKernel) -> _KernelStreams:
-        """*compiled*'s streams and chunk group, built on first use."""
+        """*compiled*'s streams and chunk group, set up on first use;
+        with the cache on, its segments and their runs of lines."""
         key = id(compiled)
         k = self._kernels.get(key)
         if k is None:
@@ -318,104 +480,98 @@ class RunStreams:
             group = max(1, min(self.nchunks,
                                GROUP_ACCESSES // max(varying, 1)))
             k = self._kernels[key] = _KernelStreams(
-                streams, group, self._repeats[key],
-                [Lines(None, s.elements) for s in streams])
+                streams, np.array([s.elements for s in streams],
+                                  dtype=np.int64),
+                group, self._repeats[key])
+            if self.enabled:
+                seg = _segments(streams, self.instance, self.line_bytes,
+                                self.bases is not None)
+                k.first, k.size = _runs(seg, None, self._shift)
+                k.step, k.weight, k.stop = seg.step, seg.weight, seg.stop
+                k.moving = np.flatnonzero(seg.chunk)
+                k.moves = seg.take(k.moving)
         return k
 
     def run(self) -> Iterator[Lines]:
         """Every stream of the run, in run order: chunk by chunk, each
         chunk's kernels in program order, each kernel's streams in block
-        order."""
+        order; one item per chunk and kernel."""
         for chunk in range(self.nchunks):
             for compiled in self.kernels:
-                key = id(compiled)
                 k = self._classify(compiled)
                 if not k.uses:  # a group starts at this chunk
-                    k.start, k.rows = chunk, {}
+                    k.start = chunk
                     k.uses = (min(chunk + k.group, self.nchunks)
                               - chunk) * k.repeats
-                row = chunk - k.start
-                for i, stream in enumerate(k.streams):
-                    if stream.varies and i not in k.rows:
-                        k.rows[i] = self._group_lines(stream, k)
-                    if not self.enabled:
-                        yield k.bare[i]
-                    elif stream.varies:
-                        rows = k.rows[i]
-                        cut = slice(rows.offsets[row], rows.offsets[row + 1])
-                        yield Lines(rows.lines[cut], stream.elements,
-                                    None if rows.weights is None
-                                    else rows.weights[cut])
-                    else:
-                        yield self._invariant(key, i, stream)
+                    if any(s.varies for s in k.streams):
+                        self._group(k, None if self.bases is None
+                                    else self.bases[chunk:chunk + k.group])
+                yield (self._lines(k, chunk - k.start) if self.enabled
+                       else Lines(None, k.elements))
                 k.uses -= 1
                 if not k.uses:  # drop the group's lines now, not later
-                    k.rows = {}
-
-    def _grid(self, stream: _Stream, shape: tuple[int, ...],
-              bases: Optional[np.ndarray]) -> np.ndarray:
-        """The stream's byte addresses over the grid *shape* of its loops,
-        one row per chunk base in *bases* (one row, on the instance's own
-        constants, for ``None``)."""
-        rows = 1 if bases is None else bases.size
-        env = loop_grid(stream.loop_vars, shape)
-        if bases is not None:
-            env[CHUNK_BASE] = bases.reshape((rows,) + (1,) * len(shape))
-        addrs = byte_addresses(stream.ref, env, self.instance)
-        return np.broadcast_to(addrs, (rows,) + shape).reshape(rows, -1)
+                    k.runs, k.rows = None, {}
 
     def _addresses(self, stream: _Stream, bases: Optional[np.ndarray],
                    fold: _Fold) -> np.ndarray:
         """Every element address of the stream's kept grid (*fold*), a
-        row per chunk."""
-        return self._grid(stream, fold.shape, bases)[:, :fold.count]
+        row per chunk base in *bases* (one row, on the instance's own
+        constants, for ``None``)."""
+        rows = 1 if bases is None else bases.size
+        env = loop_grid(stream.loop_vars, fold.shape)
+        if bases is not None:
+            env[CHUNK_BASE] = bases.reshape((rows,) + (1,) * len(fold.shape))
+        addrs = byte_addresses(stream.ref, env, self.instance)
+        return np.broadcast_to(addrs, (rows,) + fold.shape).reshape(
+            rows, -1)[:, :fold.count]
 
-    def _lines(self, stream: _Stream, bases: Optional[np.ndarray]) -> Rows:
-        """The stream's lines, a row per chunk, built from its kept grid
-        (:func:`_fold`) and weighted where it is folded: in closed form
-        with no gather and at most half a line's stride, else from every
-        element address."""
-        fold = _fold(stream)
-        if stream.stride is None or 2 * abs(stream.stride) > self.line_bytes:
-            return dedup_rows(
-                addresses_to_lines(self._addresses(stream, bases, fold),
-                                   self.line_bytes),
-                None if fold.weights is None
-                else np.repeat(fold.weights, fold.shape[-1]))
-        return self._strided_lines(stream, bases, fold)
+    def _group(self, k: _KernelStreams, bases: Optional[np.ndarray]) -> None:
+        """What *k*'s chunk-dependent streams need in the chunks of its
+        group (*bases*), a row per chunk: the runs of its moving
+        segments, and each gather's lines from its element addresses,
+        weighted where it is folded.  With the cache off only the
+        gathers are evaluated, for their index checks."""
+        for i, stream in enumerate(k.streams):
+            if stream.gathers:
+                fold = _fold(stream)
+                addrs = self._addresses(stream, bases, fold)
+                if self.enabled:
+                    k.rows[i] = dedup_rows(
+                        addresses_to_lines(addrs, self.line_bytes),
+                        None if fold.weights is None
+                        else np.repeat(fold.weights, fold.shape[-1]))
+        if self.enabled and k.moving.size:
+            k.runs = _runs(k.moves, bases, self._shift)
 
-    def _strided_lines(self, stream: _Stream, bases: Optional[np.ndarray],
-                       fold: _Fold) -> Rows:
-        """:meth:`_lines` from the address of each innermost row's first
-        element alone."""
-        *outer, inner = fold.shape
-        starts = self._grid(stream, (*outer, 1), bases)
-        return strided_lines(starts, stream.stride, inner, fold.count,
-                             self.line_bytes, fold.weights)
-
-    def _group_lines(self, stream: _Stream, k: _KernelStreams):
-        """The lines of a chunk-dependent stream for every chunk of *k*'s
-        group.  With the cache off only a gather is evaluated, for its
-        index checks."""
-        bases = (None if self.bases is None
-                 else self.bases[k.start:k.start + k.group])
-        if self.enabled:
-            return self._lines(stream, bases)
-        if stream.gathers:
-            self._addresses(stream, bases, _fold(stream))
-        return None
-
-    def _invariant(self, key: int, i: int, stream: _Stream) -> Lines:
-        """A stream that is the same in every chunk: built on first use,
-        kept while :data:`REUSE_LINES` allows."""
-        kept = self._reused.get((key, i))
-        if kept is None:
-            rows = self._lines(stream, None)
-            kept = Lines(rows.lines, stream.elements, rows.weights)
-            if kept.lines.size <= self._budget:
-                self._budget -= kept.lines.size
-                self._reused[key, i] = kept
-        return kept
+    def _lines(self, k: _KernelStreams, row: int) -> Lines:
+        """*k*'s streams in chunk *row* of its group, back to back: every
+        segment's run of lines, and each gather's lines in its place."""
+        first, size = k.first, k.size
+        if k.moving.size:
+            first, size = first.copy(), size.copy()
+            first[k.moving] = k.runs[0][row]
+            size[k.moving] = k.runs[1][row]
+        ends = np.zeros(size.size + 1, dtype=np.int64)
+        np.cumsum(size, out=ends[1:])
+        lines = _expand(first, size, ends[:-1], k.step)
+        weights = None if k.weight is None else np.repeat(k.weight, size)
+        ends = ends[k.stop]
+        if not k.rows:
+            return Lines(lines, k.elements, weights, ends)
+        # a gather's lines go where its stream's (empty) segments are.
+        parts, at = [], 0
+        grown = np.zeros(ends.size, dtype=np.int64)
+        for i, rows in k.rows.items():
+            cut = slice(rows.offsets[row], rows.offsets[row + 1])
+            parts += [(lines[at:ends[i]],
+                       None if weights is None else weights[at:ends[i]]),
+                      (rows.lines[cut],
+                       None if rows.weights is None else rows.weights[cut])]
+            at = ends[i]
+            grown[i] = cut.stop - cut.start
+        parts.append((lines[at:], None if weights is None else weights[at:]))
+        lines, weights = join_lines(parts)
+        return Lines(lines, k.elements, weights, ends + np.cumsum(grown))
 
 
 class Machine:

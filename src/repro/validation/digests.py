@@ -56,9 +56,19 @@ def _digest(context, kernels: list, data: dict[str, np.ndarray],
     return {phase: h.hexdigest() for phase, h in sorted(hashers.items())}
 
 
+#: the app of the last probe whose honest assembly ladder ran: that
+#: probe's honest solver ladder, run next, takes it instead of building
+#: its own (:func:`~repro.autotune.tuner.validate_schedule` runs a
+#: probe's two ladders back to back).  Both only read the app.
+_handoff: dict[Probe, object] = {}
+
+
 def _compute_digests(probe: Probe,
                      mutate: Optional[MutateHook]) -> dict[int, str]:
     app = probe.build_app()
+    if mutate is None:
+        _handoff.clear()
+        _handoff[probe] = app
     kernels = list(app.kernels)
     if mutate is not None:
         kernels = mutate(kernels)
@@ -103,7 +113,10 @@ def _compute_solver_digests(probe: Probe, mutate: Optional[MutateHook],
     from repro.cfd.solver_phases import seeded_solver_inputs
 
     if workload is None:
-        workload, _ = probe.build_app().build_solver()
+        app = _handoff.pop(probe, None) if mutate is None else None
+        if app is None:
+            app = probe.build_app()
+        workload, _ = app.build_solver()
     kernels = sorted(workload.kernels, key=lambda k: k.phase)
     if mutate is not None:
         kernels = mutate(list(kernels))

@@ -1,6 +1,7 @@
 """The tuner pipeline: pruned-never-timed, determinism, the CI fixture."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from repro.autotune.costmodel import ScheduleCostModel
 from repro.autotune.space import enumerate_candidates
 from repro.experiments.executor import simulate_to_dict
 from repro.machine.machines import get_machine
+from repro.validation import digests
+from repro.validation.probe import Probe
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "autotune_winners.json"
 
@@ -120,6 +123,29 @@ def test_bad_vector_size_rejected_before_the_digest_probes(vs, tmp_path):
 def test_validate_schedule_rejects_nothing_legal():
     assert validate_schedule(("const-trip-count", "loop-interchange"),
                              vector_size=8)
+
+
+def test_validation_builds_each_probe_app_once(monkeypatch):
+    """The assembly and the solver digest ladders of a probe share one
+    build: validating three schedules builds the three candidates' apps
+    and the honest baseline's, once each, and holds none afterwards."""
+    for memo in (digests._honest_digests, digests._honest_solver_digests):
+        memo.cache_clear()
+    built = Counter()
+    build = Probe.build_app
+
+    def counted(probe):
+        built[probe] += 1
+        return build(probe)
+
+    monkeypatch.setattr(Probe, "build_app", counted)
+    schedules = [(), ("const-trip-count",),
+                 ("const-trip-count", "loop-interchange", "loop-fission")]
+    for schedule in schedules:
+        assert validate_schedule(schedule, vector_size=16)
+    assert len(built) == len(schedules) + 1
+    assert set(built.values()) == {1}
+    assert not digests._handoff
 
 
 # ---------------------------------------------------------------------------

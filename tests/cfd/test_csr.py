@@ -114,3 +114,29 @@ def test_pattern_symmetry():
     rows = p.row_of_entry()
     entries = set(zip(rows.tolist(), p.indices.tolist()))
     assert all((c, r) in entries for r, c in entries)
+
+
+def searchsorted_pattern(mesh):
+    """The pattern as ``build_pattern`` used to build it: a hashed
+    ``np.unique`` of the node-pair keys, and ``searchsorted`` for the
+    row pointers and the scatter positions."""
+    n = mesh.npoin
+    rows = np.repeat(mesh.lnods, PNODE, axis=1)
+    cols = np.tile(mesh.lnods, (1, PNODE))
+    keys = rows.astype(np.int64) * n + cols
+    unique = np.unique(keys)
+    indptr = np.searchsorted(unique // n, np.arange(n + 1),
+                             side="left").astype(np.int64)
+    elpos = np.searchsorted(unique, keys).reshape(mesh.nelem, PNODE, PNODE)
+    return indptr, (unique % n).astype(np.int64), elpos.astype(np.int64)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (8, 8, 15), (3, 5, 7)],
+                         ids=["tiny", "quick", "non-cubic"])
+def test_pattern_bytes_match_searchsorted_construction(dims):
+    mesh = box_mesh(*dims)
+    p = build_pattern(mesh)
+    for got, want in zip((p.indptr, p.indices, p.elpos),
+                         searchsorted_pattern(mesh)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

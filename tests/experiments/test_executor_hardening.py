@@ -205,6 +205,37 @@ class _DoomedPool:
         pass
 
 
+class _BreakingPool:
+    """A pool that finds itself broken at its second submission, as a
+    pool whose worker was SIGKILLed between two submissions does, and
+    otherwise runs each submission at once."""
+
+    submissions = 0
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, cfg):
+        _BreakingPool.submissions += 1
+        if _BreakingPool.submissions == 2:
+            raise BrokenProcessPool("a worker died")
+        fut = Future()
+        fut.set_result(fn(cfg))
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_run_refused_by_a_broken_pool_is_not_lost(tmp_path, monkeypatch):
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", _BreakingPool)
+    monkeypatch.setattr(_BreakingPool, "submissions", 0)
+    plan = ExecutionPlan.smoke(TINY_MESH)
+    res = execute_plan(plan, cache_dir=tmp_path, jobs=2)
+    assert not res.failed
+    assert sorted(res.runs) == sorted(cfg.key() for cfg in plan)
+
+
 def test_serial_fallback_preserves_attempts(tmp_path, monkeypatch):
     monkeypatch.setattr(ex, "ProcessPoolExecutor", _DoomedPool)
     events = []

@@ -1,9 +1,12 @@
 """Tests for the set-associative LRU cache simulator."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.machine import cache as cache_mod
 from repro.machine.cache import (
     Cache,
     MemoryHierarchy,
@@ -135,3 +138,29 @@ def test_fully_associative_behaviour_small_working_set(lines):
     if len(set(lines)) <= 64:
         c.access_lines(arr)
         assert c.misses == len(set(lines))
+
+
+def test_batches_view_each_item_and_let_it_go():
+    """Batches of ``BATCH_LINES`` lines, in order: those inside one item
+    are views of it, only a batch across two items is a copy, and no
+    batch holds an item once the next one is built."""
+    size = cache_mod.BATCH_LINES
+    built = []
+
+    def items():
+        for n in (2 * size + 10, 3 * size, 5):
+            # the item before is gone by the time this one is built.
+            assert all(ref() is None for ref in built)
+            lines = np.arange(n, dtype=np.int64) + 10 * size * len(built)
+            built.append(weakref.ref(lines))
+            yield lines, None
+            del lines
+
+    batches, seen = cache_mod._batches(items()), []
+    for batch, weights in batches:
+        seen.append((batch.size, batch.base is not None, int(batch[0])))
+        assert weights is None
+        del batch
+    assert seen == [(size, True, 0), (size, True, size),
+                    (size, False, 2 * size), (size, True, 11 * size - 10),
+                    (size, True, 12 * size - 10), (15, False, 13 * size - 10)]

@@ -7,7 +7,7 @@ loop grid and fed to ``MemoryHierarchy.access``, then every block's
 base cost computed and charged (kept here verbatim).  ``run_timed`` and
 ``run_timed_solve`` on a plain :class:`Machine` must produce the same
 counters, cache counts, clock and trace, exactly, including when the
-group size and the reuse budget of ``repro.machine.cpu`` are tiny.
+chunk groups of ``repro.machine.cpu`` and the cache batches are tiny.
 """
 
 from functools import lru_cache
@@ -249,19 +249,17 @@ def test_whole_run_matches_per_chunk_walk(params, schedule, vector_size,
 
 @settings(deadline=None, max_examples=25)
 @given(**runs, group_accesses=st.integers(1, 5_000),
-       reuse_lines=st.integers(0, 20_000),
        batch_lines=st.integers(128, 5_000))
-def test_tiny_groups_and_reuse_budget_match_walk(
+def test_tiny_groups_and_batches_match_walk(
         params, schedule, vector_size, cache, solve, group_accesses,
-        reuse_lines, batch_lines):
-    """Groups of a few chunks (group boundaries inside the run), a reuse
-    budget that some invariant streams do not fit, and cache batches of
-    a few hundred lines, whose boundaries fall inside the streams,
-    kernels and chunks of the run's one hierarchy call.  A tiny-mesh run
-    is 140k-830k lines and a batch costs about 0.1 ms, so smaller
-    batches are left to the hierarchy oracles (test_cache_oracle)."""
+        batch_lines):
+    """Groups of a few chunks (group boundaries inside the run), and
+    cache batches of a few hundred lines, whose boundaries fall inside
+    the streams, kernels and chunks of the run's one hierarchy call.  A
+    tiny-mesh run is 140k-830k lines and a batch costs about 0.1 ms, so
+    smaller batches are left to the hierarchy oracles
+    (test_cache_oracle)."""
     with mock.patch.object(cpu_mod, "GROUP_ACCESSES", group_accesses), \
-            mock.patch.object(cpu_mod, "REUSE_LINES", reuse_lines), \
             mock.patch.object(cache_mod, "BATCH_LINES", batch_lines):
         assert_same_run(params, schedule, vector_size, cache, solve)
 
@@ -273,15 +271,14 @@ def test_group_boundaries_fall_inside_the_run(group_accesses):
     chunk-dependent accesses a chunk) group 8, 3 and 2 chunks, so groups
     end inside the run and phase 2's last group is short."""
     rows = []
-    lines = cpu_mod.RunStreams._lines
+    group = cpu_mod.RunStreams._group
 
-    def spy(plan, stream, bases):
-        if bases is not None:  # a chunk-dependent stream's group
-            rows.append(bases.size)
-        return lines(plan, stream, bases)
+    def spy(plan, kernel, bases):
+        rows.append(bases.size)  # a kernel's chunk-dependent streams' group
+        return group(plan, kernel, bases)
 
     with mock.patch.object(cpu_mod, "GROUP_ACCESSES", group_accesses), \
-            mock.patch.object(cpu_mod.RunStreams, "_lines", spy):
+            mock.patch.object(cpu_mod.RunStreams, "_group", spy):
         assert_same_run(RISCV_VEC, ("vec1", None), 8, True, False)
     if group_accesses == 1:
         assert set(rows) == {1}
