@@ -28,7 +28,7 @@ def total(mesh, machine, opt, vs, cache=True):
         machine, cache_enabled=cache).total_cycles
 
 
-def test_ablation_fsm_quirk_explains_240_sweet_spot(benchmark):
+def test_ablation_fsm_quirk_explains_240_sweet_spot():
     """Without the 40-element FSM grouping, VECTOR_SIZE = 256 beats 240
     (full occupancy wins); with it, 240 wins -- the paper's co-design
     feedback to the hardware architects.
@@ -39,24 +39,17 @@ def test_ablation_fsm_quirk_explains_240_sweet_spot(benchmark):
     fsm_mesh = box_mesh(16, 16, 15)  # 3840 = lcm(240, 256)
     no_fsm = replace(RISCV_VEC, vpu=replace(RISCV_VEC.vpu, fsm_depth=None))
 
-    def run():
-        return {
-            "with": (total(fsm_mesh, RISCV_VEC, "vec1", 240, cache=False),
-                     total(fsm_mesh, RISCV_VEC, "vec1", 256, cache=False)),
-            "without": (total(fsm_mesh, no_fsm, "vec1", 240, cache=False),
-                        total(fsm_mesh, no_fsm, "vec1", 256, cache=False)),
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    with_240, with_256 = r["with"]
-    wo_240, wo_256 = r["without"]
+    with_240 = total(fsm_mesh, RISCV_VEC, "vec1", 240, cache=False)
+    with_256 = total(fsm_mesh, RISCV_VEC, "vec1", 256, cache=False)
+    wo_240 = total(fsm_mesh, no_fsm, "vec1", 240, cache=False)
+    wo_256 = total(fsm_mesh, no_fsm, "vec1", 256, cache=False)
     assert with_240 < with_256          # quirk present: 240 faster
     assert wo_256 <= wo_240             # quirk removed: 256 at least as good
     print(f"\nwith FSM: 240={with_240:.3g} 256={with_256:.3g}; "
           f"without: 240={wo_240:.3g} 256={wo_256:.3g}")
 
 
-def test_ablation_strip_stall_explains_vec2_regression(benchmark, mesh):
+def test_ablation_strip_stall_explains_vec2_regression(mesh):
     """The VEC2 slowdown comes from the per-strip VPU round-trip: with
     the stall removed, AVL=4 vectorization is no longer clearly
     counter-productive."""
@@ -64,16 +57,14 @@ def test_ablation_strip_stall_explains_vec2_regression(benchmark, mesh):
         RISCV_VEC,
         vpu=replace(RISCV_VEC.vpu, strip_stall_cycles=0.0, issue_overhead=4.0))
 
-    def run():
-        def p2(machine, opt):
-            return MiniApp(mesh, vector_size=240, opt=opt).run_timed(
-                machine).phases[2].cycles_total
-        return {
-            "with": (p2(RISCV_VEC, "vanilla"), p2(RISCV_VEC, "vec2")),
-            "without": (p2(no_stall, "vanilla"), p2(no_stall, "vec2")),
-        }
+    def p2(machine, opt):
+        return MiniApp(mesh, vector_size=240, opt=opt).run_timed(
+            machine).phases[2].cycles_total
 
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = {
+        "with": (p2(RISCV_VEC, "vanilla"), p2(RISCV_VEC, "vec2")),
+        "without": (p2(no_stall, "vanilla"), p2(no_stall, "vec2")),
+    }
     assert r["with"][1] > r["with"][0] * 1.1          # regression present
     assert r["without"][1] < r["without"][0] * 1.1    # mostly gone
     print(f"\nvec2/vanilla phase-2 ratio: with stall "
@@ -81,44 +72,31 @@ def test_ablation_strip_stall_explains_vec2_regression(benchmark, mesh):
           f"{r['without'][1]/r['without'][0]:.2f}")
 
 
-def test_ablation_cache_model_drives_phase8_scaling(benchmark, mesh):
+def test_ablation_cache_model_drives_phase8_scaling(mesh):
     """With the cache hierarchy disabled, phase 8's cycles become flat in
     VECTOR_SIZE -- the growth the paper regresses in Table 6 is a memory
     hierarchy effect."""
 
-    def run():
-        def p8(vs, cache):
-            return MiniApp(mesh, vector_size=vs, opt="vec1").run_timed(
-                RISCV_VEC, cache_enabled=cache).phases[8].cycles_total
-        return {
-            "cached": (p8(16, True), p8(512, True)),
-            "nocache": (p8(16, False), p8(512, False)),
-        }
+    def p8(vs, cache):
+        return MiniApp(mesh, vector_size=vs, opt="vec1").run_timed(
+            RISCV_VEC, cache_enabled=cache).phases[8].cycles_total
 
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    grow_cached = r["cached"][1] / r["cached"][0]
-    grow_nocache = r["nocache"][1] / r["nocache"][0]
+    grow_cached = p8(512, True) / p8(16, True)
+    grow_nocache = p8(512, False) / p8(16, False)
     assert grow_cached > grow_nocache * 1.1
     assert grow_nocache == pytest.approx(1.0, rel=0.15)
     print(f"\nphase-8 growth 16->512: cached {grow_cached:.2f}x, "
           f"no cache {grow_nocache:.2f}x")
 
 
-def test_ablation_issue_overhead_bounds_small_vl(benchmark, mesh):
+def test_ablation_issue_overhead_bounds_small_vl(mesh):
     """Halving the issue/dispatch overhead disproportionately helps the
     small-VECTOR_SIZE configurations."""
     cheap_issue = replace(RISCV_VEC, vpu=replace(RISCV_VEC.vpu, issue_overhead=2.0))
 
-    def run():
-        return {
-            16: (total(mesh, RISCV_VEC, "vec1", 16),
-                 total(mesh, cheap_issue, "vec1", 16)),
-            240: (total(mesh, RISCV_VEC, "vec1", 240),
-                  total(mesh, cheap_issue, "vec1", 240)),
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    gain16 = r[16][0] / r[16][1]
-    gain240 = r[240][0] / r[240][1]
+    gain16 = (total(mesh, RISCV_VEC, "vec1", 16)
+              / total(mesh, cheap_issue, "vec1", 16))
+    gain240 = (total(mesh, RISCV_VEC, "vec1", 240)
+               / total(mesh, cheap_issue, "vec1", 240))
     assert gain16 >= gain240 * 0.98
     print(f"\nissue-overhead ablation gain: VS16 {gain16:.3f}x, VS240 {gain240:.3f}x")

@@ -7,8 +7,8 @@ register size; phase 8 is omitted (never vectorized).
 from repro.experiments import figures, report
 
 
-def test_figure10(benchmark, session):
-    f = benchmark(figures.figure10, session)
+def test_figure10(session):
+    f = figures.figure10(session)
     assert "phase 8" not in f.series
 
     def occ(phase, vs):

@@ -10,8 +10,8 @@ full optimization chain reaches 7.6x at VECTOR_SIZE = 240, close to the
 from repro.experiments import figures, report
 
 
-def test_figure11(benchmark, session):
-    f = benchmark(figures.figure11, session)
+def test_figure11(session):
+    f = figures.figure11(session)
 
     def sp(opt, vs):
         return f.series[opt][f.xs.index(vs)]

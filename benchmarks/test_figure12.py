@@ -11,8 +11,8 @@ gains driven by phase-2 cache-miss and instruction reductions.
 from repro.experiments import figures, report
 
 
-def test_figure12(benchmark, session):
-    f = benchmark(figures.figure12, session)
+def test_figure12(session):
+    f = figures.figure12(session)
 
     def sp(machine, vs):
         return f.series[machine][f.xs.index(vs)]

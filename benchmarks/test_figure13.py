@@ -8,8 +8,8 @@ much larger than the overall one.
 from repro.experiments import figures, report
 
 
-def test_figure13(benchmark, session):
-    f = benchmark(figures.figure13, session)
+def test_figure13(session):
+    f = figures.figure13(session)
 
     def overall(vs):
         return f.series["mini-app"][f.xs.index(vs)]

@@ -8,8 +8,8 @@ Paper: VECTOR_SIZE strongly matters; 240 is the fastest configuration
 from repro.experiments import figures, report
 
 
-def test_figure2(benchmark, session):
-    f = benchmark(figures.figure2, session)
+def test_figure2(session):
+    f = figures.figure2(session)
     cycles = dict(zip(f.xs, f.series["total cycles"]))
     assert min(cycles, key=cycles.get) == 240
     assert max(cycles, key=cycles.get) == 16

@@ -9,8 +9,8 @@ control-lane vector instructions execute.
 from repro.experiments import figures, report
 
 
-def test_figure3(benchmark, session):
-    f = benchmark(figures.figure3, session)
+def test_figure3(session):
+    f = figures.figure3(session)
     total = {
         vs: f.series["arithmetic"][i] + f.series["memory"][i]
         + f.series["control_lane"][i]

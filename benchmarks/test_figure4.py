@@ -9,8 +9,8 @@ VECTOR_SIZE -- the motivation for attacking phase 2 first.
 from repro.experiments import figures, report, tables
 
 
-def test_figure4(benchmark, session):
-    f = benchmark(figures.figure4, session)
+def test_figure4(session):
+    f = figures.figure4(session)
     scalar = tables.table3(session).fractions
 
     def share(phase, vs):

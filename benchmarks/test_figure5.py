@@ -9,8 +9,8 @@ counter-productive and degraded the performance".
 from repro.experiments import figures, report
 
 
-def test_figure5(benchmark, session):
-    f = benchmark(figures.figure5, session)
+def test_figure5(session):
+    f = figures.figure5(session)
     for i, vs in enumerate(f.xs):
         if vs == 16:
             continue  # the paper exempts VECTOR_SIZE = 16

@@ -9,8 +9,8 @@ with VECTOR_SIZE.
 from repro.experiments import figures, report
 
 
-def test_figure6(benchmark, session):
-    f = benchmark(figures.figure6, session)
+def test_figure6(session):
+    f = figures.figure6(session)
 
     def ratio(vs):
         i = f.xs.index(vs)

@@ -8,8 +8,8 @@ stays scalar, so the gain is bounded (~2x at VECTOR_SIZE = 512,
 from repro.experiments import figures, report
 
 
-def test_figure7(benchmark, session):
-    f = benchmark(figures.figure7, session)
+def test_figure7(session):
+    f = figures.figure7(session)
 
     def ratio(vs):
         i = f.xs.index(vs)

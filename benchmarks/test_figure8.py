@@ -8,8 +8,8 @@ constant for VECTOR_SIZE >= 128.
 from repro.experiments import figures, report
 
 
-def test_figure8(benchmark, session):
-    f = benchmark(figures.figure8, session)
+def test_figure8(session):
+    f = figures.figure8(session)
     before = figures.figure4(session)
 
     def share(fig, phase, vs):

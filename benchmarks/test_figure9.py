@@ -9,8 +9,8 @@ misses and memory-instruction ratio.
 from repro.experiments import figures, report
 
 
-def test_figure9(benchmark, session):
-    f = benchmark(figures.figure9, session)
+def test_figure9(session):
+    f = figures.figure9(session)
 
     def pct(phase, vs):
         return f.series[f"phase {phase}"][f.xs.index(vs)]

@@ -17,23 +17,18 @@ the fix does what the feedback asked:
 
 from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
-from repro.experiments.config import VECTOR_SIZES
 from repro.machine.machines import RISCV_VEC, RISCV_VEC_NEXT
 
 
-def test_next_prototype_restores_full_vector_length(benchmark):
+def test_next_prototype_restores_full_vector_length():
     mesh = box_mesh(16, 16, 15)  # 3840 = lcm(240, 256): no padding bias
 
-    def run():
-        out = {}
-        for machine in (RISCV_VEC, RISCV_VEC_NEXT):
-            for vs in (240, 256):
-                app = MiniApp(mesh, vector_size=vs, opt="vec1")
-                out[(machine.name, vs)] = app.run_timed(
-                    machine, cache_enabled=False).total_cycles
-        return out
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = {}
+    for machine in (RISCV_VEC, RISCV_VEC_NEXT):
+        for vs in (240, 256):
+            app = MiniApp(mesh, vector_size=vs, opt="vec1")
+            r[(machine.name, vs)] = app.run_timed(
+                machine, cache_enabled=False).total_cycles
     # current prototype: the 240 workaround is needed
     assert r[("RISC-V VEC", 240)] < r[("RISC-V VEC", 256)]
     # next prototype: full vector length wins (or at worst ties)
@@ -44,17 +39,13 @@ def test_next_prototype_restores_full_vector_length(benchmark):
     print("\ncycles:", {k: f"{v:.4g}" for k, v in r.items()})
 
 
-def test_advisor_drops_the_240_workaround(benchmark):
+def test_advisor_drops_the_240_workaround():
     from repro.codesign import Advisor
 
     mesh = box_mesh(8, 8, 15)
 
-    def run():
-        app = MiniApp(mesh, vector_size=256, opt="vec1")
-        current = Advisor(RISCV_VEC).analyze_miniapp(app)
-        fixed = Advisor(RISCV_VEC_NEXT).analyze_miniapp(app)
-        return current, fixed
-
-    current, fixed = benchmark.pedantic(run, rounds=1, iterations=1)
+    app = MiniApp(mesh, vector_size=256, opt="vec1")
+    current = Advisor(RISCV_VEC).analyze_miniapp(app)
+    fixed = Advisor(RISCV_VEC_NEXT).analyze_miniapp(app)
     assert any(f.category == "fsm-granularity" for f in current)
     assert not any(f.category == "fsm-granularity" for f in fixed)

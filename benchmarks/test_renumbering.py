@@ -17,26 +17,22 @@ from repro.experiments.config import QUICK_MESH
 from repro.machine.machines import RISCV_VEC
 
 
-def test_random_renumbering_hurts_gather_scatter_phases(benchmark):
+def test_random_renumbering_hurts_gather_scatter_phases():
     ordered = box_mesh(*QUICK_MESH)
     shuffled = box_mesh(*QUICK_MESH, renumber_seed=7)
 
-    def run():
-        out = {}
-        for name, mesh in (("ordered", ordered), ("shuffled", shuffled)):
-            r = MiniApp(mesh, vector_size=240, opt="vec1").run_timed(RISCV_VEC)
-            out[name] = {
-                "total": r.total_cycles,
-                "p2_misses": r.phases[2].l1_misses,
-                "p8_misses": r.phases[8].l1_misses,
-                "p2": r.phases[2].cycles_total,
-                "p8": r.phases[8].cycles_total,
-                "p6": r.phases[6].cycles_total,
-            }
-        return out
+    def run(mesh):
+        r = MiniApp(mesh, vector_size=240, opt="vec1").run_timed(RISCV_VEC)
+        return {
+            "total": r.total_cycles,
+            "p2_misses": r.phases[2].l1_misses,
+            "p8_misses": r.phases[8].l1_misses,
+            "p2": r.phases[2].cycles_total,
+            "p8": r.phases[8].cycles_total,
+            "p6": r.phases[6].cycles_total,
+        }
 
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    o, s = r["ordered"], r["shuffled"]
+    o, s = run(ordered), run(shuffled)
     # random node ids scatter the gather/scatter footprints: more misses
     assert s["p2_misses"] > 1.5 * o["p2_misses"]
     assert s["p8_misses"] > 1.25 * o["p8_misses"]

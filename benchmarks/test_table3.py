@@ -7,8 +7,8 @@ dominates, and phases 3, 4, 6, 7 together account for ~90% of cycles.
 from repro.experiments import report, tables
 
 
-def test_table3(benchmark, session):
-    t = benchmark(tables.table3, session)
+def test_table3(session):
+    t = tables.table3(session)
     fr = t.fractions
     # phase 6 is the dominant phase by a wide margin
     assert fr[6] == max(fr.values())

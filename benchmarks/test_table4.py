@@ -10,8 +10,8 @@ from repro.experiments import report, tables
 from repro.experiments.config import VECTOR_SIZES
 
 
-def test_table4(benchmark, session):
-    t = benchmark(tables.table4, session)
+def test_table4(session):
+    t = tables.table4(session)
     for vs in VECTOR_SIZES:
         row = t.mix[vs]
         assert row[1] == 0.0 and row[2] == 0.0 and row[8] == 0.0, vs

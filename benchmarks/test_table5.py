@@ -12,8 +12,8 @@ import pytest
 from repro.experiments import report, tables
 
 
-def test_table5(benchmark, session):
-    t = benchmark(tables.table5, session)
+def test_table5(session):
+    t = tables.table5(session)
     # AVL = min(VECTOR_SIZE, vl_max)
     for vs in (16, 64, 128, 240, 256):
         assert t.per_vs[vs][1] == pytest.approx(vs, rel=0.02)

@@ -9,8 +9,8 @@ anomalous VECTOR_SIZE scaling of phase 1 (R^2 = 0.903) and phase 8
 from repro.experiments import report, tables
 
 
-def test_table6(benchmark, session):
-    t = benchmark(tables.table6, session)
+def test_table6(session):
+    t = tables.table6(session)
     assert set(t.results) == {1, 8}
     # the memory model explains most of the variance
     assert t.results[1].r_squared > 0.75

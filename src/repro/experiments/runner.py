@@ -18,11 +18,11 @@ the same path whether it is asked for alone or in a batch:
   process pool (``jobs``) before rendering.
 
 Results memoize in memory and persist as JSON on disk, so the full
-benchmark suite re-renders in seconds after the first pass.  Set the
-environment variable ``REPRO_CACHE=0`` to disable the disk cache (the
-in-memory memo always applies); :data:`~repro.experiments.executor.MODEL_VERSION`
-is bumped when the timing model changes so stale caches are ignored.  A
-corrupt cache entry is discarded and re-simulated, never fatal.
+benchmark suite re-renders in seconds after the first pass.  Pass
+``use_disk=False`` to keep them in memory only;
+:data:`~repro.experiments.executor.MODEL_VERSION` is bumped when the
+timing model changes so stale caches are ignored.  A corrupt cache
+entry is discarded and re-simulated, never fatal.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Session:
 
     def __init__(self, mesh_dims: tuple[int, int, int] = FULL_MESH,
                  cache_dir: str | os.PathLike = ".repro_cache",
-                 use_disk: Optional[bool] = None,
+                 use_disk: bool = True,
                  verbose: bool = False,
                  jobs: int = 1,
                  timeout_s: Optional[float] = None,
@@ -78,8 +78,6 @@ class Session:
 
         self.backend = get_backend(backend).name
         self.cache_dir = Path(cache_dir)
-        if use_disk is None:
-            use_disk = os.environ.get("REPRO_CACHE", "1") != "0"
         self.use_disk = use_disk
         self.verbose = verbose
         self.jobs = max(1, jobs)
