@@ -111,12 +111,12 @@ class MiniApp:
         self.remarks: list[VecRemark] = result.vec_remarks
         self.compiled: list[CompiledKernel] = result.compiled
         self._solver = None  # lazily-built SolverWorkload
+        self.chunks = self.context.chunks()
+        #: each chunk's first element: the chunk bases a timed run visits.
+        self.chunk_bases = np.array([c.elements[0] for c in self.chunks],
+                                    dtype=np.int64)
 
     # ------------------------------------------------------------------
-
-    @property
-    def chunks(self):
-        return self.context.chunks()
 
     def global_float_data(self) -> dict[str, np.ndarray]:
         """Fresh float-valued global arrays (+ amatr) for a numeric run."""
@@ -151,14 +151,12 @@ class MiniApp:
 
         m = machine or Machine(machine_params, cache_enabled=cache_enabled)
         run = RunCounters()
-        chunks = self.chunks
         inst = self.context.instance_for_chunk(
-            chunks[0], globals_data={"elpos": self.elpos})
+            self.chunks[0], globals_data={"elpos": self.elpos})
         with _obs_span(f"run_timed {self.opt} vs{self.vector_size}",
                        cat="run", opt=self.opt,
                        vector_size=self.vector_size):
-            m.execute_program(self.compiled, inst, run,
-                              [int(c.elements[0]) for c in chunks])
+            m.execute_program(self.compiled, inst, run, self.chunk_bases)
         return run
 
     def run_numeric(self, field_overrides: Optional[dict[str, np.ndarray]] = None

@@ -115,6 +115,10 @@ class SolverWorkload:
         self.compiled: list[CompiledKernel] = result.compiled
         self.kernels_by_phase = {k.phase: k for k in self.kernels}
         self.compiled_by_phase = {c.phase: c for c in self.compiled}
+        self.chunks = self.context.chunks()
+        #: each row chunk's first row: the chunk bases an iteration visits.
+        self.chunk_bases = np.array([c.elements[0] for c in self.chunks],
+                                    dtype=np.int64)
 
     # -- semantic path --------------------------------------------------
 
@@ -152,18 +156,17 @@ class SolverWorkload:
         """
         from repro.obs.tracer import span as _obs_span
 
-        chunks = self.context.chunks()
-        inst = self.context.instance_for_chunk(chunks[0])
+        inst = self.context.instance_for_chunk(self.chunks[0])
         program: list[CompiledKernel] = []
         for phase, repeats in TIMED_ITERATION_MIX:
             program.extend([self.compiled_by_phase[phase]] * repeats)
-        bases = [int(c.elements[0]) for c in chunks]
         with _obs_span(f"solve {self.opt} vs{self.vector_size}",
                        cat="run", opt=self.opt,
                        vector_size=self.vector_size,
                        iterations=iterations):
-            machine.execute_program(program, inst, run,
-                                    bases * max(int(iterations), 0))
+            machine.execute_program(
+                program, inst, run,
+                np.tile(self.chunk_bases, max(int(iterations), 0)))
         return run
 
 

@@ -64,7 +64,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -79,11 +78,6 @@ from repro.machine.params import CacheParams, MemoryParams
 #: lines keep it at 87 MB.  A constant, not an option, for that reason;
 #: read at call time, so a test can shrink it.
 BATCH_LINES = 1 << 14
-
-#: streams whose :class:`Charges` become Python numbers at a time.
-#: Converting all 158,400 streams of a full-mesh scalar@16 run at once
-#: raised its peak resident memory from 69.5 to 72.6 MB (2.1 GHz Xeon).
-CHARGE_ROWS = 1 << 12
 
 
 def addresses_to_lines(addrs: np.ndarray, line_bytes: int) -> np.ndarray:
@@ -160,22 +154,12 @@ class Lines(NamedTuple):
 class Charges:
     """What one :meth:`MemoryHierarchy.access` call charged each of its
     streams, in order, as four arrays: stall cycles (``penalty``), L1
-    and L2 misses, and element accesses.  Iterating yields one
-    ``(penalty, l1_misses, l2_misses, elements)`` tuple of Python
-    numbers per stream, converting :data:`CHARGE_ROWS` streams at a
-    time."""
+    and L2 misses, and element accesses."""
 
     penalty: np.ndarray
     l1_misses: np.ndarray
     l2_misses: np.ndarray
     elements: np.ndarray
-
-    def __iter__(self) -> Iterator[tuple[float, int, int, int]]:
-        arrays = (self.penalty, self.l1_misses, self.l2_misses,
-                  self.elements)
-        return chain.from_iterable(
-            zip(*(a[start:start + CHARGE_ROWS].tolist() for a in arrays))
-            for start in range(0, self.elements.size, CHARGE_ROWS))
 
 
 def _batches(chunks: Iterable[tuple[np.ndarray, Optional[np.ndarray]]]

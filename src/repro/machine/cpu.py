@@ -1,6 +1,6 @@
 """The machine: executes compiled kernels and accumulates counters.
 
-``Machine.execute_program`` walks the blocks produced by
+``Machine.execute_program`` runs the blocks produced by
 :mod:`repro.compiler.codegen` over every chunk of mesh elements of a run
 and charges cycles and instruction counts into
 :class:`~repro.metrics.counters.RunCounters`.
@@ -62,14 +62,26 @@ addresses are checked.
 A run makes one call to the memory hierarchy: every stream of every
 chunk's kernels, in run order, which lets the vectorized cache decide
 full batches across kernel and chunk boundaries.  The call returns each
-stream's misses (:class:`~repro.machine.cache.Charges`).  Then the
-chunks run in order, each chunk's kernels in order, each kernel's
-blocks in order: a block charges its base cycles, which do not depend
-on the chunk and are computed once per block, and then its streams'
-stall penalties.  The cache sees the same lines in the same order as a
-walk that built every chunk's instance and accessed the cache kernel by
-kernel, and every float sum is formed from the same terms in the same
-order, so the counters are identical to that walk's.
+stream's misses (:class:`~repro.machine.cache.Charges`).  Then each
+distinct kernel is accounted once, over all of its rows: a row is one
+(chunk, program position) pair, in run order, and the kernel takes its
+columns of the charges as ``[rows, streams]`` arrays.  A block's base
+charges do not depend on the chunk and are laid out once per kernel;
+a vector block's are computed once per distinct strip length.  Each
+float counter of the kernel's phase is one ``np.add.accumulate`` over
+every row's terms, in the order a per-chunk walk adds them: a scalar
+block adds its base cycles plus its streams' penalties, folded first on
+their own; a vector block its base cycles, then each penalty times its
+exposure; and each block its instruction, ``vl_sum`` and flop constants.
+Accumulate adds strictly left to right, so every partial sum is the
+walk's; misses and element counts are integers, summed in any order.
+A phase's counters come from its one kernel, so folding per kernel
+rather than chunk by chunk changes no term's order.  The blocks' clock
+deltas, read off the prefix sums, are folded into the clock in run
+order, and a tracer's events are replayed in that order.  The cache
+sees the same lines in the same order as a walk that built every
+chunk's instance and accessed the cache kernel by kernel, so the
+counters, clock and trace are identical to that walk's.
 :meth:`Machine.execute_kernel` on its own is a one-chunk run of one
 kernel.
 
@@ -85,6 +97,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -101,6 +115,7 @@ from repro.compiler.program import (
 )
 from repro.isa.instructions import ScalarOp
 from repro.machine.cache import (
+    Charges,
     Lines,
     MemoryHierarchy,
     Rows,
@@ -110,7 +125,7 @@ from repro.machine.cache import (
 )
 from repro.machine.params import MachineParams
 from repro.machine.vpu import VPUModel
-from repro.metrics.counters import PhaseCounters, RunCounters
+from repro.metrics.counters import RunCounters
 
 #: chunk-dependent element accesses of one kernel built at once: the
 #: kernel's chunk group spans as many chunks as fit, and what the group
@@ -140,38 +155,68 @@ def strip_lengths(total_trip: int, vl_max: int) -> list[int]:
     return [vl_max] * full + ([rem] if rem else [])
 
 
-class _ScalarCost(NamedTuple):
-    """What a scalar block charges in every chunk, before its streams'
-    stall penalties."""
+#: the counters each run of a block adds a constant to, in this order.
+CONSTANT_FIELDS = ("instr_scalar", "instr_scalar_mem", "flops",
+                   "instr_vector_arith", "instr_vector_mem",
+                   "instr_vector_ctrl", "instr_vconfig", "vl_sum")
 
+
+class _BlockCost(NamedTuple):
+    """What a block charges in every chunk (all its repeats), before its
+    streams' stall penalties."""
+
+    #: a scalar block's base cycles, to which it adds its streams'
+    #: penalties before it charges them; a vector block's cycles_total.
     cycles: float
-    instr_scalar: float
-    instr_scalar_mem: float
-    flops: float
+    cycles_vector: float
+    #: one value per :data:`CONSTANT_FIELDS` counter.
+    constants: tuple[float, ...]
+    #: a vector block charges each stream's penalty times its exposure,
+    #: to both cycle counters; ``None`` for a scalar block.
+    exposure: Optional[float]
     accesses: int
-
-
-class _VectorCost(NamedTuple):
-    """What a vector block charges in every chunk (all its repeats),
-    before its streams' stall penalties, which ``exposure`` scales."""
-
-    vl_hist: tuple[tuple[int, int], ...]
+    vl_hist: tuple[tuple[int, int], ...] = ()
     #: the block's ``(opcode, vl, count)`` batches for the tracer, built
     #: only when one is active: on 8-lane vectors there is one per strip
-    #: and instruction, and the machine keeps every block's cost.
-    records: Optional[list]
-    cycles_total: float
-    cycles_vector: float
-    instr_vector_arith: float
-    instr_vector_mem: float
-    instr_vector_ctrl: float
-    instr_vconfig: float
-    instr_scalar: float
-    instr_scalar_mem: float
-    vl_sum: float
-    flops: float
-    exposure: float
-    accesses: int
+    #: and instruction.
+    records: Optional[list] = None
+
+
+class _Account(NamedTuple):
+    """How one compiled kernel charges each of its rows, laid out for
+    :meth:`Machine.execute_kernel`'s folds.
+
+    A row adds a sequence of *terms* to its phase's cycles_total and
+    cycles_vector, in the order the per-chunk walk adds them: a scalar
+    block one, its base cycles plus its streams' penalties; a vector
+    block its base cycles, then one per stream, the stream's penalty
+    times the block's exposure."""
+
+    #: ``[terms, 2]``: each term's cycles_total and cycles_vector; a
+    #: scalar block's is its base cycles, a penalty's 0.
+    terms: np.ndarray
+    #: the terms of the scalar blocks with streams, deepest first; for
+    #: each ``j``, the ``j``-th streams of the ``scalar_steps[j]``
+    #: blocks that have more than ``j``.
+    scalar_terms: np.ndarray
+    scalar_streams: np.ndarray
+    scalar_steps: tuple[int, ...]
+    #: the vector blocks' penalty terms, their streams, their exposures.
+    vector_terms: np.ndarray
+    vector_streams: np.ndarray
+    exposure: np.ndarray
+    #: each block's first and last term.
+    first: np.ndarray
+    last: np.ndarray
+    #: the :data:`CONSTANT_FIELDS` some block adds to (adding 0.0 to
+    #: the others would change nothing), and each block's constant for
+    #: each, ``[fields, blocks]``.
+    constant_fields: tuple[str, ...]
+    constants: np.ndarray
+    #: one row's vector lengths and their dynamic instruction counts.
+    vl_hist: tuple[tuple[int, int], ...]
+    #: each block's ``(phase, label, kind, records)`` for the tracer.
+    trace: tuple[tuple, ...]
 
 
 class _Stream(NamedTuple):
@@ -455,7 +500,7 @@ class RunStreams:
 
     def __init__(self, kernels: Sequence[CompiledKernel],
                  instance: KernelInstance,
-                 chunk_bases: Optional[Sequence[int]],
+                 chunk_bases: "Optional[Sequence[int] | np.ndarray]",
                  memory: MemoryHierarchy):
         self.kernels = kernels
         self.instance = instance
@@ -468,6 +513,10 @@ class RunStreams:
         self._shift = self.line_bytes.bit_length() - 1
         self._repeats = Counter(id(k) for k in kernels)
         self._kernels: dict[int, _KernelStreams] = {}
+
+    def width(self, compiled: CompiledKernel) -> int:
+        """Access streams of *compiled* in one chunk."""
+        return len(self._classify(compiled).streams)
 
     def _classify(self, compiled: CompiledKernel) -> _KernelStreams:
         """*compiled*'s streams and chunk group, set up on first use;
@@ -595,8 +644,8 @@ class Machine:
         self.vpu: Optional[VPUModel] = VPUModel(params.vpu) if params.vpu else None
         self.mem = MemoryHierarchy(params.memory, enabled=cache_enabled)
         self.tracer = _obs_active()
-        #: ``id(block)`` -> ``(block, its chunk-independent charges)``.
-        self._costs: dict[int, tuple] = {}
+        #: ``id(kernel)`` -> ``(kernel, its account)``.
+        self._accounts: dict[int, tuple[CompiledKernel, _Account]] = {}
         #: running cycle clock (advances as blocks execute).
         self.clock = 0.0
         self._cpi = {
@@ -611,30 +660,7 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _charge(stream: tuple[float, int, int, int],
-                counters: PhaseCounters) -> float:
-        """Count one stream's misses and elements; return its penalty."""
-        penalty, l1_misses, l2_misses, elements = stream
-        counters.l1_misses += l1_misses
-        counters.l2_misses += l2_misses
-        counters.mem_element_accesses += elements
-        return penalty
-
-    # ------------------------------------------------------------------
-
-    def _cost(self, block: ScalarBlock | VectorBlock
-              ) -> "_ScalarCost | _VectorCost":
-        """*block*'s chunk-independent charges, computed once per block
-        (the block is kept with them, so a reused ``id`` cannot alias)."""
-        entry = self._costs.get(id(block))
-        if entry is None or entry[0] is not block:
-            cost = (self._vector_cost(block) if isinstance(block, VectorBlock)
-                    else self._scalar_cost(block))
-            entry = self._costs[id(block)] = (block, cost)
-        return entry[1]
-
-    def _scalar_cost(self, block: ScalarBlock) -> "_ScalarCost":
+    def _scalar_cost(self, block: ScalarBlock) -> _BlockCost:
         trips = block.trips
         cycles_per_iter = 0.0
         instr_per_iter = 0.0
@@ -644,14 +670,15 @@ class Machine:
             instr_per_iter += n
             if op in (ScalarOp.LOAD, ScalarOp.STORE):
                 mem_instr_per_iter += n
-        return _ScalarCost(
-            cycles=trips * cycles_per_iter,
-            instr_scalar=trips * instr_per_iter,
-            instr_scalar_mem=trips * mem_instr_per_iter,
-            flops=trips * block.flops_per_iter,
-            accesses=len(block.accesses))
+        constants = (trips * instr_per_iter, trips * mem_instr_per_iter,
+                     trips * block.flops_per_iter, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return _BlockCost(trips * cycles_per_iter, 0.0, constants, None,
+                          len(block.accesses))
 
-    def _vector_cost(self, block: VectorBlock) -> "_VectorCost":
+    def _vector_cost(self, block: VectorBlock) -> _BlockCost:
+        """The block's charges: each instruction's cycles once per
+        distinct strip length, the full strips' and the remainder's, and
+        the strip-by-instruction sequence folded in strip order."""
         if self.vpu is None:
             raise RuntimeError(
                 f"machine {self.params.name!r} has no VPU but the program "
@@ -659,26 +686,24 @@ class Machine:
             )
         vpu = self.vpu
         repeats = block.repeats
-        vls = strip_lengths(block.total_trip, self.params.vpu.vl_max)
-
-        # Per-repeat base cost is identical across repeats: compute once.
-        cycles_vec = 0.0
-        n_arith = n_mem = n_ctrl = 0
-        vl_sum = 0.0
-        flops = 0.0
-        for vl in vls:
-            for desc in block.instrs:
-                c = vpu.instr_cycles(desc.spec, vl)
-                cycles_vec += c
-                vl_sum += vl
-                if desc.spec.is_arith:
-                    n_arith += 1
-                    flops += desc.spec.flops_per_elem * vl
-                elif desc.spec.is_memory:
-                    n_mem += 1
-                else:
-                    n_ctrl += 1
-        n_strips = len(vls)
+        vl_max = self.params.vpu.vl_max
+        full, rem = divmod(block.total_trip, vl_max)
+        # each distinct strip length and its strips, in strip order.
+        lengths = [(vl, n) for vl, n in ((vl_max, full), (rem, 1)) if vl and n]
+        specs = [desc.spec for desc in block.instrs]
+        arith = [spec for spec in specs if spec.is_arith]
+        cycles, flops = [], []
+        for vl, n in lengths:
+            cycles += [vpu.instr_cycles(spec, vl) for spec in specs] * n
+            flops += [spec.flops_per_elem * vl for spec in arith] * n
+        # left folds from 0.0, strip by strip and instruction by
+        # instruction, as the strips run.
+        cycles_vec = reduce(add, cycles, 0.0)
+        flops_vec = reduce(add, flops, 0.0)
+        n_arith = len(arith)
+        n_mem = sum(1 for spec in specs if not spec.is_arith and spec.is_memory)
+        n_ctrl = len(specs) - n_arith - n_mem
+        n_strips = full + (1 if rem else 0)
         config_cycles = n_strips * (
             vpu.config_cycles() + self.params.vpu.strip_stall_cycles)
 
@@ -693,111 +718,242 @@ class Machine:
 
         records = None
         if self.tracer is not None:
+            vls = strip_lengths(block.total_trip, vl_max)
             records = [("vsetvl", vl, repeats) for vl in vls]
-            records += [(desc.spec.opcode, vl, repeats)
-                        for vl in vls for desc in block.instrs]
+            records += [(spec.opcode, vl, repeats)
+                        for vl in vls for spec in specs]
         # Stalls of the full (repeats x trip) address streams are exposed
         # by the average granted vector length.
         vl_avg = block.total_trip / n_strips
-        return _VectorCost(
-            vl_hist=tuple((vl, repeats * len(block.instrs)) for vl in vls
-                          if block.instrs),
-            records=records,
-            cycles_total=repeats * (cycles_vec + config_cycles + scalar_cycles),
+        constants = (
+            repeats * scalar_instr, repeats * scalar_mem_instr,
+            repeats * flops_vec, repeats * (n_arith * n_strips),
+            repeats * (n_mem * n_strips), repeats * (n_ctrl * n_strips),
+            repeats * n_strips,
+            # every strip adds its vl per instruction: integers, exact.
+            repeats * float(len(specs) * block.total_trip))
+        return _BlockCost(
+            cycles=repeats * (cycles_vec + config_cycles + scalar_cycles),
             cycles_vector=repeats * cycles_vec,
-            instr_vector_arith=repeats * n_arith,
-            instr_vector_mem=repeats * n_mem,
-            instr_vector_ctrl=repeats * n_ctrl,
-            instr_vconfig=repeats * n_strips,
-            instr_scalar=repeats * scalar_instr,
-            instr_scalar_mem=repeats * scalar_mem_instr,
-            vl_sum=repeats * vl_sum,
-            flops=repeats * flops,
+            constants=constants,
             exposure=self.params.vpu.miss_exposure(vl_avg),
-            accesses=sum(1 for d in block.instrs if d.access is not None))
+            accesses=sum(1 for d in block.instrs if d.access is not None),
+            vl_hist=tuple((vl, repeats * len(specs) * n)
+                          for vl, n in lengths if specs),
+            records=records)
 
-    def _exec_scalar_block(self, cost: "_ScalarCost", charges: Iterator,
-                           counters: PhaseCounters) -> None:
-        cycles = cost.cycles
-        for _ in range(cost.accesses):
-            cycles += self._charge(next(charges), counters)
-        counters.cycles_total += cycles
-        counters.instr_scalar += cost.instr_scalar
-        counters.instr_scalar_mem += cost.instr_scalar_mem
-        counters.flops += cost.flops
+    def _account(self, compiled: CompiledKernel) -> _Account:
+        """*compiled*'s account, laid out once per kernel (the kernel is
+        kept with it, so a reused ``id`` cannot alias)."""
+        entry = self._accounts.get(id(compiled))
+        if entry is None or entry[0] is not compiled:
+            entry = self._accounts[id(compiled)] = (
+                compiled, self._lay_out(compiled))
+        return entry[1]
 
-    def _exec_vector_block(self, block: VectorBlock, cost: "_VectorCost",
-                           charges: Iterator, counters: PhaseCounters) -> None:
-        for vl, n in cost.vl_hist:
-            counters.vl_hist[vl] += n
-        if self.tracer is not None:
-            self.tracer.on_vector_instrs(block.phase, self.clock, cost.records)
-        counters.cycles_total += cost.cycles_total
-        counters.cycles_vector += cost.cycles_vector
-        counters.instr_vector_arith += cost.instr_vector_arith
-        counters.instr_vector_mem += cost.instr_vector_mem
-        counters.instr_vector_ctrl += cost.instr_vector_ctrl
-        counters.instr_vconfig += cost.instr_vconfig
-        counters.instr_scalar += cost.instr_scalar
-        counters.instr_scalar_mem += cost.instr_scalar_mem
-        counters.vl_sum += cost.vl_sum
-        counters.flops += cost.flops
-        for _ in range(cost.accesses):
-            penalty = self._charge(next(charges), counters)
-            counters.cycles_total += penalty * cost.exposure
-            counters.cycles_vector += penalty * cost.exposure
+    def _lay_out(self, compiled: CompiledKernel) -> _Account:
+        """*compiled*'s block costs, laid out as its folds read them."""
+        terms, constants, first, last, trace = [], [], [], [], []
+        vector_terms, vector_streams, exposure = [], [], []
+        scalar: list[tuple[int, int, list[int]]] = []
+        hist: dict[int, int] = {}
+        streams = term = 0  # laid out so far
+        for block in compiled.blocks:
+            vector = isinstance(block, VectorBlock)
+            cost = (self._vector_cost(block) if vector
+                    else self._scalar_cost(block))
+            own = list(range(streams, streams + cost.accesses))
+            streams += cost.accesses
+            first.append(term)
+            terms += (cost.cycles, cost.cycles_vector)
+            term += 1
+            if vector:
+                vector_terms += range(term, term + len(own))
+                terms += [0.0, 0.0] * len(own)
+                term += len(own)
+                vector_streams += own
+                exposure += [cost.exposure] * len(own)
+                for vl, n in cost.vl_hist:
+                    hist[vl] = hist.get(vl, 0) + n
+            elif own:
+                scalar.append((-len(own), term - 1, own))
+            last.append(term - 1)
+            constants.append(cost.constants)
+            trace.append((block.phase, block.label,
+                          "vector" if vector else "scalar", cost.records))
+        # deepest first, so the blocks with more than j streams are a
+        # prefix of them: step j adds their j-th streams.
+        scalar.sort()
+        steps = [0] * (-scalar[0][0] if scalar else 0)
+        for _, _, own in scalar:
+            for j in range(len(own)):
+                steps[j] += 1
+        used = [(name, column) for name, column in
+                zip(CONSTANT_FIELDS, zip(*constants)) if any(column)]
+        return _Account(
+            terms=np.array(terms, dtype=np.float64).reshape(-1, 2),
+            scalar_terms=np.array([at for _, at, _ in scalar], dtype=np.int64),
+            scalar_streams=np.array(
+                [own[j] for j, m in enumerate(steps) for _, _, own in
+                 scalar[:m]], dtype=np.int64),
+            scalar_steps=tuple(steps),
+            vector_terms=np.array(vector_terms, dtype=np.int64),
+            vector_streams=np.array(vector_streams, dtype=np.int64),
+            exposure=np.array(exposure, dtype=np.float64),
+            first=np.array(first, dtype=np.int64),
+            last=np.array(last, dtype=np.int64),
+            constant_fields=tuple(name for name, _ in used),
+            constants=np.array([column for _, column in used],
+                               dtype=np.float64).reshape(len(used), len(last)),
+            vl_hist=tuple(hist.items()),
+            trace=tuple(trace))
 
     # ------------------------------------------------------------------
 
     def execute_kernel(self, compiled: CompiledKernel, instance: KernelInstance,
-                       run: RunCounters,
-                       charges: Optional[Iterator[tuple[float, int, int, int]]]
-                       = None) -> None:
-        """Account one compiled kernel over one chunk, block by block.
+                       run: RunCounters, charges: Optional[Charges] = None
+                       ) -> Optional[np.ndarray]:
+        """Account one compiled kernel over all of its rows at once.
 
-        *charges* iterates the run's
-        :class:`~repro.machine.cache.Charges` from this kernel's first
-        stream in this chunk on, and the kernel takes one per access
-        stream, in block order.  By default the kernel runs alone over
-        *instance* as bound, a one-chunk run, and its streams go through
-        the caches first.
+        A row is one (chunk, program position) pair: one run of the
+        kernel in one chunk.  *charges* holds
+        the kernel's streams' :class:`~repro.machine.cache.Charges`, a
+        row each, in run order: ``[rows, streams]`` arrays.  Each float
+        counter of the kernel's phase is folded with
+        ``np.add.accumulate`` over the terms the per-chunk walk adds, in
+        its order; misses and element counts are summed as integers.
+        Returns each row's block deltas (``[rows, blocks]``), the cycles
+        each block added, for :meth:`execute_program` to fold into the
+        clock; *instance* is not read.
+
+        By default the kernel runs alone over *instance* as bound: a
+        program of one kernel over one chunk (:meth:`execute_program`).
         """
         if charges is None:
-            charges = iter(self.mem.access(
-                RunStreams([compiled], instance, None, self.mem).run()))
+            self.execute_program([compiled], instance, run)
+            return None
+        account = self._account(compiled)
         counters = run.phase(compiled.phase)
-        kernel_t0 = self.clock
-        for block in compiled.blocks:
-            t0 = self.clock
-            before = counters.cycles_total
-            cost = self._cost(block)
-            if isinstance(block, VectorBlock):
-                self._exec_vector_block(block, cost, charges, counters)
-                kind = "vector"
-            else:
-                self._exec_scalar_block(cost, charges, counters)
-                kind = "scalar"
-            delta = counters.cycles_total - before
-            self.clock += delta
-            if self.tracer is not None:
-                self.tracer.on_block(block.phase, block.label, kind, t0, delta)
-        if self.tracer is not None:
-            self.tracer.span_at(compiled.name, cat="phase", t0=kernel_t0,
-                                t1=self.clock, phase=compiled.phase)
+        penalty = charges.penalty
+        rows = penalty.shape[0]
+
+        # every row's terms in run order, after the counters' values.
+        cycles = np.empty((rows * len(account.terms) + 1, 2))
+        cycles[0] = counters.cycles_total, counters.cycles_vector
+        body = cycles[1:].reshape(rows, len(account.terms), 2)
+        body[:] = account.terms
+        # a scalar block's term: its base cycles, then each of its
+        # streams' penalties in turn, the blocks' j-th streams at once.
+        scalar = account.terms[account.scalar_terms, 0][:, None].repeat(
+            rows, axis=1)
+        penalties = penalty.T[account.scalar_streams]
+        at = 0
+        for blocks in account.scalar_steps:
+            scalar[:blocks] += penalties[at:at + blocks]
+            at += blocks
+        body[:, account.scalar_terms, 0] = scalar.T
+        body[:, account.vector_terms] = (penalty[:, account.vector_streams]
+                                         * account.exposure)[..., None]
+        np.add.accumulate(cycles, axis=0, out=cycles)
+        total = cycles[:, 0]
+        deltas = (total[1:].reshape(rows, -1)[:, account.last]
+                  - total[:-1].reshape(rows, -1)[:, account.first])
+        counters.cycles_total, counters.cycles_vector = cycles[-1].tolist()
+
+        fields = account.constant_fields
+        constants = np.empty((len(fields), rows * len(account.first) + 1))
+        constants[:, 0] = [getattr(counters, name) for name in fields]
+        constants[:, 1:].reshape(len(fields), rows, len(account.first))[:] = (
+            account.constants[:, None])
+        np.add.accumulate(constants, axis=1, out=constants)
+        for name, value in zip(fields, constants[:, -1].tolist()):
+            setattr(counters, name, value)
+
+        counters.l1_misses += int(charges.l1_misses.sum())
+        counters.l2_misses += int(charges.l2_misses.sum())
+        counters.mem_element_accesses += int(charges.elements.sum())
+        for vl, n in account.vl_hist:
+            counters.vl_hist[vl] += n * rows
+        return deltas
 
     def execute_program(self, kernels: Sequence[CompiledKernel],
                         instance: KernelInstance, run: RunCounters,
-                        chunk_bases: Optional[Sequence[int]] = None) -> None:
+                        chunk_bases: "Optional[Sequence[int] | np.ndarray]"
+                        = None) -> None:
         """Execute *kernels* over every chunk of a run: for each value of
         *chunk_bases* in turn, every kernel in order, on *instance* with
         its chunk base set to that value.  ``None`` runs the kernels once
         on *instance* as bound.
 
         Every stream of the run goes through the memory hierarchy in one
-        call; then each (chunk, kernel) is accounted from its streams'
-        charges."""
+        call; then each distinct kernel is accounted over all of its rows
+        (:meth:`execute_kernel`), the blocks' deltas are folded into the
+        clock in run order, and a tracer's events are replayed in that
+        order.  Each kernel must have a phase of its own: a phase's
+        counters are folded per kernel."""
+        positions: dict[int, list[int]] = {}
+        for at, compiled in enumerate(kernels):
+            positions.setdefault(id(compiled), []).append(at)
+        phases = [kernels[at[0]].phase for at in positions.values()]
+        if len(set(phases)) < len(phases):
+            raise ValueError("two kernels of the program share a phase, "
+                             "whose counters are folded per kernel")
         plan = RunStreams(kernels, instance, chunk_bases, self.mem)
-        charges = iter(self.mem.access(plan.run()))
-        for _ in range(plan.nchunks):
+        charges = self.mem.access(plan.run())
+        chunks = plan.nchunks
+        if not chunks:
+            return
+        # each position's first stream and first block in a chunk's run.
+        streams = np.cumsum([0] + [plan.width(k) for k in kernels])
+        blocks = np.cumsum([0] + [len(k.blocks) for k in kernels])
+        grid = [a.reshape(chunks, -1) for a in (
+            charges.penalty, charges.l1_misses, charges.l2_misses,
+            charges.elements)]
+        deltas = np.empty((chunks, blocks[-1]))
+        for at in positions.values():
+            compiled = kernels[at[0]]
+            width = plan.width(compiled)
+            mine = Charges(*(a[:, _columns(streams, at, width)].reshape(
+                chunks * len(at), width) for a in grid))
+            deltas[:, _columns(blocks, at, len(compiled.blocks))] = (
+                self.execute_kernel(compiled, instance, run, mine).reshape(
+                    chunks, -1))
+        clock = np.empty(deltas.size + 1)
+        clock[0] = self.clock
+        clock[1:] = deltas.reshape(-1)
+        np.add.accumulate(clock, out=clock)
+        self.clock = float(clock[-1])
+        if self.tracer is not None:
+            self._replay(kernels, chunks, clock.tolist(),
+                         deltas.reshape(-1).tolist())
+
+    def _replay(self, kernels: Sequence[CompiledKernel], chunks: int,
+                clock: list[float], deltas: list[float]) -> None:
+        """The tracer's events of a run, in run order: ``clock[i]`` is
+        the clock before the run's ``i``-th block, ``deltas[i]`` the
+        cycles it added."""
+        tracer = self.tracer
+        i = 0
+        for _ in range(chunks):
             for compiled in kernels:
-                self.execute_kernel(compiled, instance, run, charges)
+                t0 = clock[i]
+                for phase, label, kind, records in self._account(
+                        compiled).trace:
+                    if records is not None:
+                        tracer.on_vector_instrs(phase, clock[i], records)
+                    tracer.on_block(phase, label, kind, clock[i], deltas[i])
+                    i += 1
+                tracer.span_at(compiled.name, cat="phase", t0=t0,
+                               t1=clock[i], phase=compiled.phase)
+
+
+def _columns(offsets: np.ndarray, positions: list[int], width: int
+             ) -> "slice | np.ndarray":
+    """The columns of a chunk's run a kernel at *positions* owns, each
+    position's *width* from its offset: a slice when the positions are
+    adjacent."""
+    if positions[-1] - positions[0] == len(positions) - 1:
+        start = int(offsets[positions[0]])
+        return slice(start, start + width * len(positions))
+    return np.concatenate([np.arange(offsets[p], offsets[p] + width)
+                           for p in positions])

@@ -38,6 +38,8 @@ from repro.machine.cpu import RunStreams
 from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
 from repro.machine.params import CacheParams, MemoryParams
 
+from . import charge_tuples
+
 
 class OracleLRU:
     """Textbook set-associative LRU cache."""
@@ -223,7 +225,7 @@ def assert_hierarchy_matches(params, calls, enabled=True):
     hier = MemoryHierarchy(params, enabled=enabled)
     oracle = OracleHierarchy(params, enabled=enabled)
     for streams in calls:
-        got = list(hier.access(iter(streams)))
+        got = list(charge_tuples(hier.access(iter(streams))))
         want = [(*oracle.access(s), len(s)) for s in streams]
         # exact: the penalties must be the same doubles, not close ones.
         assert got == want
@@ -299,7 +301,8 @@ def assert_run_matches(params, kernels):
     """One ``access`` call carries every kernel's streams, in order; the
     oracle sees them stream by stream."""
     hier, oracle = MemoryHierarchy(params), OracleHierarchy(params)
-    got = list(hier.access(s for streams in kernels for s in streams))
+    got = list(charge_tuples(
+        hier.access(s for streams in kernels for s in streams)))
     want = [(*oracle.access(s), len(s)) for streams in kernels
             for s in streams]
     assert got == want
@@ -357,8 +360,8 @@ def assert_fold_matches(params, warm, kernel, instance, expanded):
     LRU checks the expanded side."""
     folded, full = MemoryHierarchy(params), MemoryHierarchy(params)
     plan = RunStreams([kernel], instance, None, folded)
-    got = list(folded.access(chain([warm], plan.run())))
-    want = list(full.access([warm, *expanded]))
+    got = list(charge_tuples(folded.access(chain([warm], plan.run()))))
+    want = list(charge_tuples(full.access([warm, *expanded])))
     assert got == want
     assert folded.element_accesses == full.element_accesses
     for a, b in ((folded.l1, full.l1), (folded.l2, full.l2)):
@@ -488,7 +491,7 @@ def test_third_kept_iteration_keeps_l2_exact():
 
     def l2_misses(stream):
         hier = MemoryHierarchy(HOT_IN_L1_ONLY)
-        charges = list(hier.access([warm, stream]))
+        charges = list(charge_tuples(hier.access([warm, stream])))
         assert hier.l1.accesses == 3 + 12
         return charges[1][1:]
 

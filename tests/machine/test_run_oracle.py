@@ -4,10 +4,12 @@
 loop domain: one ``KernelInstance`` per chunk, and for every kernel of
 every chunk each access descriptor's byte addresses evaluated over its
 loop grid and fed to ``MemoryHierarchy.access``, then every block's
-base cost computed and charged (kept here verbatim).  ``run_timed`` and
-``run_timed_solve`` on a plain :class:`Machine` must produce the same
-counters, cache counts, clock and trace, exactly, including when the
-chunk groups of ``repro.machine.cpu`` and the cache batches are tiny.
+base cost computed strip by strip and charged stream by stream (kept
+here verbatim).  ``run_timed`` and ``run_timed_solve`` on a plain
+:class:`Machine`, which accounts each kernel over all of its rows at
+once, must produce the same counters, cache counts, clock and trace,
+exactly, including when the chunk groups of ``repro.machine.cpu`` and
+the cache batches are tiny.
 """
 
 from functools import lru_cache
@@ -22,6 +24,7 @@ from repro import obs
 from repro.cfd.assembly import OPT_LEVELS, MiniApp
 from repro.cfd.mesh import box_mesh
 from repro.cfd.solver_path import TIMED_ITERATION_MIX
+from repro.cfd.solver_phases import DOT_PHASE, SPMV_PHASE
 from repro.compiler.program import (
     AccessDesc,
     CompiledKernel,
@@ -38,18 +41,32 @@ from repro.machine.cpu import Machine, strip_lengths
 from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
 from repro.metrics.counters import PhaseCounters, RunCounters, counters_to_json
 
+from . import charge_tuples
+
 MACHINES = [RISCV_VEC, MN4_AVX512, SX_AURORA]
 #: the five rungs, plus vec1's passes strip-mined by 4.
 SCHEDULES = [(opt, None) for opt in OPT_LEVELS] + [
     ("vec1", ("const-trip-count", "loop-interchange", "loop-fission",
               "strip-mine:4"))]
-#: 10 does not divide the tiny mesh's 64 elements; 240 is one chunk.
-VECTOR_SIZES = [8, 10, 16, 40, 64, 240]
+#: 10 does not divide the tiny mesh's 64 elements; 240, 250 and 512 are
+#: one chunk.  On MN4_AVX512's 8 lanes, 250 is 31 strips and a 2-lane
+#: remainder, and 512 is 64 strips.
+VECTOR_SIZES = [8, 10, 16, 40, 64, 240, 250, 512]
 
 
 class WalkMachine(Machine):
     """The per-chunk walk: every stream of a kernel built from the
     chunk's own instance, and every block's base cost computed anew."""
+
+    @staticmethod
+    def _charge(stream: tuple[float, int, int, int],
+                counters: PhaseCounters) -> float:
+        """Count one stream's misses and elements; return its penalty."""
+        penalty, l1_misses, l2_misses, elements = stream
+        counters.l1_misses += l1_misses
+        counters.l2_misses += l2_misses
+        counters.mem_element_accesses += elements
+        return penalty
 
     @staticmethod
     def _addresses(desc: AccessDesc, env_vars: tuple[str, ...],
@@ -155,7 +172,8 @@ class WalkMachine(Machine):
 
     def execute_kernel(self, compiled, instance, run) -> None:
         counters = run.phase(compiled.phase)
-        streams = iter(self.mem.access(self._streams(compiled, instance)))
+        streams = charge_tuples(self.mem.access(
+            self._streams(compiled, instance)))
         kernel_t0 = self.clock
         for block in compiled.blocks:
             t0 = self.clock
@@ -286,16 +304,62 @@ def test_group_boundaries_fall_inside_the_run(group_accesses):
         assert set(rows) == {8, 3, 2}
 
 
-def test_trace_matches_walk():
-    """Inside ``obs.use(tracer)``: the same Chrome export, byte for byte."""
+def test_interleaved_program_matches_walk():
+    """A kernel at positions that are not adjacent in the program (the
+    SpMV of ``[spmv, dot, spmv]``) is accounted over rows gathered from
+    non-adjacent columns of the run's charges: the same counters, clock
+    and trace as the walk."""
+    workload, _ = tiny_app("vec1", None, 16).build_solver()
+    spmv, dot = (workload.compiled_by_phase[phase]
+                 for phase in (SPMV_PHASE, DOT_PHASE))
+    program = [spmv, dot, spmv]
+    chunks = workload.context.chunks()
+    insts = [workload.context.instance_for_chunk(c) for c in chunks]
+    results = []
+    for make in (Machine, WalkMachine):
+        tracer, run = obs.Tracer(), RunCounters()
+        with obs.use(tracer):
+            machine = make(RISCV_VEC)
+        if make is Machine:
+            machine.execute_program(program, insts[0], run,
+                                    [int(c.elements[0]) for c in chunks])
+        else:
+            for inst in insts:
+                for compiled in program:
+                    machine.execute_kernel(compiled, inst, run)
+        results.append((counters_to_json(run), machine.clock,
+                        obs.chrome.dumps(tracer)))
+    assert results[0] == results[1]
+
+
+def test_kernels_sharing_a_phase_are_refused():
+    """A phase's counters are folded per kernel, so two kernels of one
+    program may not share a phase."""
     app = tiny_app("vec1", None, 16)
+    first, second = app.compiled[:2]
+    clone = CompiledKernel(second.name, first.phase, second.blocks)
+    inst = app.context.instance_for_chunk(
+        app.chunks[0], globals_data={"elpos": app.elpos})
+    with pytest.raises(ValueError, match="share a phase"):
+        Machine(RISCV_VEC).execute_program([first, clone], inst,
+                                           RunCounters())
+
+
+@pytest.mark.parametrize("params, opt, vector_size", [
+    (RISCV_VEC, "vec1", 16),
+    # 31 strips of 8 lanes and a 2-lane remainder per vector block.
+    (MN4_AVX512, "vec1", 250),
+], ids=["riscv_vec-vec1-16", "mn4_avx512-vec1-250"])
+def test_trace_matches_walk(params, opt, vector_size):
+    """Inside ``obs.use(tracer)``: the same Chrome export, byte for byte."""
+    app = tiny_app(opt, None, vector_size)
     exports = []
     for make, run in ((Machine, lambda m: app.run_timed_solve(
-                           RISCV_VEC, machine=m)),
+                           params, machine=m)),
                       (WalkMachine, lambda m: walk_run_timed_solve(app, m))):
         tracer = obs.Tracer()
         with obs.use(tracer):
-            run(make(RISCV_VEC))
+            run(make(params))
         exports.append(obs.chrome.dumps(tracer))
     assert exports[0] == exports[1]
     solver_chunks = len(app.build_solver()[0].context.chunks())

@@ -11,6 +11,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+@pytest.fixture(scope="module")
+def quick_cache(tmp_path_factory):
+    """One scratch working directory for the quick-mesh runs, so their
+    ``.repro_cache/`` is never the caller's: the first test that uses it
+    simulates, and the rest recall its entries."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("quick-cache"))
+        yield
+
+
 def test_info(capsys):
     code, out = run_cli(capsys, "info")
     assert code == 0
@@ -24,19 +34,19 @@ def test_table1_and_2_static(capsys):
     assert code == 0 and "Frequency" in out
 
 
-def test_table3_quick_mesh(capsys):
+def test_table3_quick_mesh(capsys, quick_cache):
     code, out = run_cli(capsys, "table", "3", "--mesh", "quick")
     assert code == 0
     assert "% of total cycles" in out
 
 
-def test_figure11(capsys):
+def test_figure11(capsys, quick_cache):
     code, out = run_cli(capsys, "figure", "11", "--mesh", "quick")
     assert code == 0
     assert "vanilla" in out and "vec1" in out
 
 
-def test_sweep_barchart(capsys):
+def test_sweep_barchart(capsys, quick_cache):
     code, out = run_cli(capsys, "sweep", "--mesh", "quick")
     assert code == 0
     assert "#" in out and "VECTOR_SIZE = 240" in out
@@ -149,7 +159,7 @@ def test_roofline_command(capsys):
     assert "ridge" in out and "phase" in out
 
 
-def test_report_command_to_file(tmp_path, capsys):
+def test_report_command_to_file(tmp_path, capsys, quick_cache):
     out_file = tmp_path / "report.txt"
     code, out = run_cli(capsys, "report", "--mesh", "quick",
                         "-o", str(out_file))
