@@ -57,6 +57,31 @@ decides a weighted line once, like any other, and counts it as
 final resident lines all equal the unfolded stream's.  L1 keeps its
 misses before each stream boundary unweighted too, since those are
 where the boundaries fall in L2's input.
+
+Recurring items.  A producer may mark items that hold the same lines
+and weights each time they come with a *key* (:class:`Lines`): the
+machine marks a kernel's item when none of its streams moves with the
+chunk.  LRU sets are independent: a set's hits, misses and final lines
+depend only on its lines before an item and on the item's accesses to
+it, in order; weights enter no decision.  So a level records, per key,
+the rows of the sets the item touches before and after it, and its
+miss mask; when the key comes again, every set whose rows are the
+recorded entry rows takes the recorded decisions and exit rows, and
+the item, cut to the other sets, is decided anew.  The levels'
+``accesses`` and ``misses``, every :class:`Charges` and the final
+resident lines are those of deciding every line.  Three rules keep
+this exact and cheap:
+
+* a level decides a recurring item as a unit -- the lines before it
+  first, then the item -- only when the item holds at least as many
+  lines as the level (``n_sets * assoc``); a shorter item is batched
+  with the lines around it, which costs less than deciding it alone,
+  and the level drops its record;
+* L1's misses of a recurring item go on to L2 as a recurring item
+  under the same key, and L2 replays only when L1 replayed every set of
+  the item: only then are L2's lines the ones it recorded;
+* records last one :meth:`MemoryHierarchy.access` call: keys are the
+  producer's (program positions), and one machine may run two programs.
 """
 
 from __future__ import annotations
@@ -142,12 +167,38 @@ class Lines(NamedTuple):
 
     One stream has an ``int`` element count and no *ends*.  N streams
     have an int64 array of N element counts and, with lines, *ends*:
-    where each stream's lines end in *lines*."""
+    where each stream's lines end in *lines*.  A *key* marks a recurring
+    item: every item of one :meth:`MemoryHierarchy.access` call with
+    that key holds the same lines and weights."""
 
     lines: Optional[np.ndarray]
     elements: "int | np.ndarray"
     weights: Optional[np.ndarray] = None
     ends: Optional[np.ndarray] = None
+    key: Optional[int] = None
+
+
+class _Item(NamedTuple):
+    """Lines a cache level decides, in order, and their weights
+    (``None``: one each).  A recurring item has a *key*; *renew* says
+    its lines may not be the ones last sent under it, so the level
+    decides it anew."""
+
+    lines: np.ndarray
+    weights: Optional[np.ndarray] = None
+    key: Optional[int] = None
+    renew: bool = False
+
+
+class _Record(NamedTuple):
+    """A level's decisions for one recurring item: the sets it touches,
+    ascending; their rows (each set's ways, then its fill) before and
+    after it; and its miss mask."""
+
+    sets: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    miss: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,38 +213,47 @@ class Charges:
     elements: np.ndarray
 
 
-def _batches(chunks: Iterable[tuple[np.ndarray, Optional[np.ndarray]]]
-             ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Regroup ``(lines, weights)`` pairs into batches of
-    :data:`BATCH_LINES` lines (the last one shorter), in order.  A
-    batch's weights are ``None`` when none of its lines carry one.
+def _batches(items: Iterable[_Item]) -> Iterator[_Item]:
+    """Regroup *items* into batches of :data:`BATCH_LINES` lines (the
+    last one shorter), in order, and pass each recurring item on whole:
+    the lines before it are batched first.  A batch's weights are
+    ``None`` when none of its lines carry one.
 
-    Only a batch that spans pairs is copied together; the batches inside
-    one pair are views of it.  No view of a pair is held while the next
-    pair is built."""
+    Only a batch that spans items is copied together; the batches inside
+    one item are views of it.  No view of an item is held while the next
+    item is built."""
     pending: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
     size = 0
-    for lines, weights in chunks:
+    for item in items:
+        if item.key is not None:
+            if size:
+                yield _Item(*join_lines(pending))
+                pending, size = [], 0
+            yield item
+            del item
+            continue
+        lines, weights = item.lines, item.weights
         at = 0
         while at < lines.size:
             cut = slice(at, min(at + BATCH_LINES - size, lines.size))
             at = cut.stop
             if cut.stop - cut.start == BATCH_LINES:  # a whole batch: a view
-                yield lines[cut], None if weights is None else weights[cut]
+                yield _Item(lines[cut],
+                            None if weights is None else weights[cut])
                 continue
             pending.append((lines[cut],
                             None if weights is None else weights[cut]))
             size += cut.stop - cut.start
             if size == BATCH_LINES:
-                yield join_lines(pending)
+                yield _Item(*join_lines(pending))
                 pending, size = [], 0
         if pending and pending[-1][0].size < lines.size:
-            # a view of the pair's tail would hold the whole pair.
+            # a view of the item's tail would hold the whole item.
             pending[-1] = tuple(None if a is None else a.copy()
                                 for a in pending[-1])
-        del lines, weights
+        del item, lines, weights
     if size:
-        yield join_lines(pending)
+        yield _Item(*join_lines(pending))
 
 
 def join_lines(parts: list[tuple[np.ndarray, Optional[np.ndarray]]]
@@ -298,17 +358,100 @@ class Cache:
         each) counts as ``w`` accesses, and as ``w`` misses if it missed.
         """
         lines = np.asarray(lines, dtype=np.int64)
+        miss = self._decide(lines)
+        self._count(miss, weights)
+        return miss
+
+    def access_items(self, items: Iterable[_Item]
+                     ) -> Iterator[tuple[_Item, np.ndarray, bool]]:
+        """Access *items* in order, decided in the units
+        :func:`_batches` makes of them: yields each unit, its miss mask,
+        and whether it is a recurring item that replayed every set it
+        touches.
+
+        A recurring item shorter than the level (``n_sets * assoc``
+        lines) is batched like any other, and its record dropped.  The
+        records last as long as this generator."""
+        records: dict[int, _Record] = {}
+        alone = self._n_sets * self._assoc
+
+        def units():
+            for item in items:
+                if item.key is not None and item.lines.size < alone:
+                    records.pop(item.key, None)
+                    item = item._replace(key=None)
+                yield item
+                del item  # not held while the next item is built
+
+        for unit in _batches(units()):
+            if unit.key is None:
+                miss, replayed = self._decide(unit.lines), False
+            else:
+                miss, replayed = self._recur(unit, records)
+            self._count(miss, unit.weights)
+            yield unit, miss, replayed
+            del unit, miss
+
+    def _decide(self, lines: np.ndarray) -> np.ndarray:
+        """Miss mask of *lines*, decided in batches of
+        :data:`BATCH_LINES`; updates the resident lines."""
         miss = np.empty(lines.size, dtype=bool)
         for start in range(0, lines.size, BATCH_LINES):
             stop = start + BATCH_LINES
             miss[start:stop] = self._access_batch(lines[start:stop])
+        return miss
+
+    def _count(self, miss: np.ndarray, weights: Optional[np.ndarray]) -> None:
+        """Count decided lines as accesses, and missed ones as misses,
+        each line as its weight."""
         if weights is None:
-            self.accesses += int(lines.size)
+            self.accesses += int(miss.size)
             self.misses += int(np.count_nonzero(miss))
         else:
             self.accesses += int(weights.sum())
             self.misses += int(weights[miss].sum())
-        return miss
+
+    def _rows(self, sets: np.ndarray) -> np.ndarray:
+        """The rows of *sets*: each set's ways, then its fill."""
+        return np.column_stack((self._ways[sets], self._fill[sets]))
+
+    def _restore(self, sets: np.ndarray, rows: np.ndarray) -> None:
+        """Set the rows of *sets* (as :meth:`_rows` gives them)."""
+        self._ways[sets] = rows[:, :-1]
+        self._fill[sets] = rows[:, -1]
+
+    def _recur(self, item: _Item, records: dict[int, _Record]
+               ) -> tuple[np.ndarray, bool]:
+        """Decide a recurring item: every set it touches whose rows are
+        the recorded entry rows replays the record, the item cut to the
+        other sets is decided anew, and the record takes their rows and
+        decisions.  Returns the item's miss mask and whether every set
+        replayed."""
+        lines, record = item.lines, None if item.renew else records.get(
+            item.key)
+        if record is None:
+            sets = np.flatnonzero(np.bincount(lines & self._set_mask,
+                                              minlength=self._n_sets))
+            entry = self._rows(sets)
+            miss = self._decide(lines)
+            records[item.key] = _Record(sets, entry, self._rows(sets), miss)
+            return miss, False
+        entry = self._rows(record.sets)
+        dirty = (entry != record.entry).any(axis=1)
+        if not dirty.any():
+            self._restore(record.sets, record.exit)
+            return record.miss, True
+        self._restore(record.sets[~dirty], record.exit[~dirty])
+        sets = record.sets[dirty]
+        anew = np.zeros(self._n_sets, dtype=bool)
+        anew[sets] = True
+        at = np.flatnonzero(anew[lines & self._set_mask])
+        miss = record.miss.copy()
+        miss[at] = self._decide(lines[at])
+        record.entry[dirty] = entry[dirty]
+        record.exit[dirty] = self._rows(sets)
+        records[item.key] = record._replace(miss=miss)
+        return miss, False
 
     def _access_batch(self, lines: np.ndarray) -> np.ndarray:
         """Miss mask of one batch; updates the resident lines.  Working
@@ -448,7 +591,10 @@ class MemoryHierarchy:
         :class:`Lines` item arrives collapsed, one or many streams.  L1
         decides the lines in batches as they accumulate, across stream
         boundaries; L2 decides L1's misses, in order, in its own
-        batches, lagging behind L1.
+        batches, lagging behind L1.  A level decides a recurring item (a
+        keyed :class:`Lines`) as a unit where it is at least as long as
+        the level, replaying its decisions where they recur (see the
+        module docstring).
 
         Returns every stream's :class:`Charges`.  A stream's penalty is
         ``l1_misses * l1.miss_penalty``, plus ``l2_misses *
@@ -461,7 +607,7 @@ class MemoryHierarchy:
         # in them, unweighted.
         l2 = _Tally(l1.positions)
 
-        def lines():
+        def items():
             end = 0
             for stream in streams:
                 if not isinstance(stream, Lines):
@@ -479,24 +625,27 @@ class MemoryHierarchy:
                     l1.bounds.frombytes(
                         np.asarray(ends + end, dtype=np.int64).tobytes())
                     end += stream.lines.size
-                    yield stream.lines, stream.weights
+                    yield _Item(stream.lines, stream.weights, stream.key)
                 del stream  # not held while the next item is built
 
         def l1_missed():
-            for batch, weights in _batches(lines()):
-                miss = self.l1.access_lines(batch, weights)
-                l1.add(miss, weights)
-                missed = (batch[miss],
-                          None if weights is None else weights[miss])
-                del batch, weights  # views of an item, as above
+            for unit, miss, replayed in self.l1.access_items(items()):
+                l1.add(miss, unit.weights)
+                # L1's misses of a recurring item are the ones L2 last
+                # saw under its key only if L1 replayed all of it.
+                missed = _Item(unit.lines[miss], None if unit.weights is None
+                               else unit.weights[miss], unit.key,
+                               not replayed)
+                del unit, miss  # views of an item, as above
                 yield missed
 
         if self.l2 is None:
             for _ in l1_missed():
                 pass
         else:
-            for batch, weights in _batches(l1_missed()):
-                l2.add(self.l2.access_lines(batch, weights), weights)
+            for unit, miss, _ in self.l2.access_items(l1_missed()):
+                l2.add(miss, unit.weights)
+                del unit, miss
         counts = np.array(elements, dtype=np.int64)
         self.element_accesses += int(counts.sum())
         if not self.enabled:

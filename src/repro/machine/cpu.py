@@ -61,7 +61,13 @@ addresses are checked.
 
 A run makes one call to the memory hierarchy: every stream of every
 chunk's kernels, in run order, which lets the vectorized cache decide
-full batches across kernel and chunk boundaries.  The call returns each
+full batches across kernel and chunk boundaries.  In a run of more than
+one chunk with the cache on, :class:`RunStreams` keys the item of each
+kernel none of whose streams varies (:attr:`_Stream.varies`) by its
+program position: its lines are the same in every chunk (phases 3-7 on
+every rung, whose scratch arrays every chunk reuses), so a cache level
+replays its decisions wherever a set's contents recur
+(:mod:`repro.machine.cache`, "Recurring items").  The call returns each
 stream's misses (:class:`~repro.machine.cache.Charges`).  Then each
 distinct kernel is accounted once, over all of its rows: a row is one
 (chunk, program position) pair, in run order, and the kernel takes its
@@ -463,6 +469,8 @@ class _KernelStreams:
     group: int
     #: runs of the kernel per chunk (a program may repeat a kernel).
     repeats: int
+    #: some stream differs from chunk to chunk (:attr:`_Stream.varies`).
+    varies: bool
     #: with the cache on, each gather-free segment's run of lines: its
     #: first line and length (a moving segment's are set per chunk); the
     #: segments' steps and weights, and each stream's stop, as in
@@ -531,7 +539,7 @@ class RunStreams:
             k = self._kernels[key] = _KernelStreams(
                 streams, np.array([s.elements for s in streams],
                                   dtype=np.int64),
-                group, self._repeats[key])
+                group, self._repeats[key], any(s.varies for s in streams))
             if self.enabled:
                 seg = _segments(streams, self.instance, self.line_bytes,
                                 self.bases is not None)
@@ -544,19 +552,27 @@ class RunStreams:
     def run(self) -> Iterator[Lines]:
         """Every stream of the run, in run order: chunk by chunk, each
         chunk's kernels in program order, each kernel's streams in block
-        order; one item per chunk and kernel."""
+        order; one item per chunk and kernel.  In a run of many chunks
+        with the cache on, the item of a kernel none of whose streams
+        varies is the same in every chunk: it is keyed by its program
+        position, so the hierarchy may replay its decisions."""
+        recur = self.enabled and self.nchunks > 1
         for chunk in range(self.nchunks):
-            for compiled in self.kernels:
+            for at, compiled in enumerate(self.kernels):
                 k = self._classify(compiled)
                 if not k.uses:  # a group starts at this chunk
                     k.start = chunk
                     k.uses = (min(chunk + k.group, self.nchunks)
                               - chunk) * k.repeats
-                    if any(s.varies for s in k.streams):
+                    if k.varies:
                         self._group(k, None if self.bases is None
                                     else self.bases[chunk:chunk + k.group])
-                yield (self._lines(k, chunk - k.start) if self.enabled
-                       else Lines(None, k.elements))
+                if not self.enabled:
+                    yield Lines(None, k.elements)
+                elif recur and not k.varies:
+                    yield self._lines(k, chunk - k.start)._replace(key=at)
+                else:
+                    yield self._lines(k, chunk - k.start)
                 k.uses -= 1
                 if not k.uses:  # drop the group's lines now, not later
                     k.runs, k.rows = None, {}

@@ -33,6 +33,17 @@ class VPUModel:
 
     def __init__(self, params: VPUParams):
         self.params = params
+        #: elements a vector memory instruction moves per cycle, by pattern.
+        self._rates = {
+            MemPattern.UNIT_STRIDE: params.mem_unit_elems_per_cycle,
+            MemPattern.STRIDED: params.mem_strided_elems_per_cycle,
+            MemPattern.INDEXED: params.mem_indexed_elems_per_cycle,
+        }
+        #: ``(id(spec), vl)`` -> ``(spec, instr_cycles(spec, vl))``: a
+        #: program repeats a few specs at a few vector lengths.  Keyed by
+        #: identity (the spec is kept, so an ``id`` cannot alias): hashing
+        #: a spec costs more than computing its cycles.
+        self._cycles: dict[tuple[int, int], tuple[InstrSpec, float]] = {}
 
     # -- execution-stage costs (no issue overhead) ------------------------
 
@@ -58,11 +69,7 @@ class VPUModel:
         p = self.params
         if vl <= 0:
             return 0.0
-        rate = {
-            MemPattern.UNIT_STRIDE: p.mem_unit_elems_per_cycle,
-            MemPattern.STRIDED: p.mem_strided_elems_per_cycle,
-            MemPattern.INDEXED: p.mem_indexed_elems_per_cycle,
-        }[pattern]
+        rate = self._rates[pattern]
         group = p.fsm_group_elems
         if group is None or pattern is not MemPattern.UNIT_STRIDE:
             return math.ceil(vl / rate)
@@ -79,6 +86,13 @@ class VPUModel:
 
     def instr_cycles(self, spec: InstrSpec, vl: int) -> float:
         """Total cycles attributed to one dynamic vector instruction."""
+        entry = self._cycles.get((id(spec), vl))
+        if entry is None or entry[0] is not spec:
+            entry = self._cycles[id(spec), vl] = (
+                spec, self._instr_cycles(spec, vl))
+        return entry[1]
+
+    def _instr_cycles(self, spec: InstrSpec, vl: int) -> float:
         p = self.params
         if spec.vkind is VectorKind.ARITHMETIC:
             return p.issue_overhead + self.arith_exec_cycles(vl, spec.long_latency)

@@ -147,25 +147,33 @@ def test_fully_associative_behaviour_small_working_set(lines):
 
 def test_batches_view_each_item_and_let_it_go():
     """Batches of ``BATCH_LINES`` lines, in order: those inside one item
-    are views of it, only a batch across two items is a copy, and no
-    batch holds an item once the next one is built."""
+    are views of it, only a batch across two items is a copy, a
+    recurring item (one with a key) passes whole once the lines before
+    it are batched, and no batch holds an item once the next one is
+    built."""
     size = cache_mod.BATCH_LINES
     built = []
 
     def items():
-        for n in (2 * size + 10, 3 * size, 5):
+        for n, key in ((2 * size + 10, None), (3 * size, None),
+                       (size + 3, 7), (2, 8), (5, None)):
             # the item before is gone by the time this one is built.
             assert all(ref() is None for ref in built)
             lines = np.arange(n, dtype=np.int64) + 10 * size * len(built)
             built.append(weakref.ref(lines))
-            yield lines, None
+            yield cache_mod._Item(lines, None, key)
             del lines
 
     batches, seen = cache_mod._batches(items()), []
-    for batch, weights in batches:
-        seen.append((batch.size, batch.base is not None, int(batch[0])))
-        assert weights is None
+    for batch in batches:
+        seen.append((batch.lines.size, batch.lines.base is not None,
+                     int(batch.lines[0]), batch.key))
+        assert batch.weights is None
         del batch
-    assert seen == [(size, True, 0), (size, True, size),
-                    (size, False, 2 * size), (size, True, 11 * size - 10),
-                    (size, True, 12 * size - 10), (15, False, 13 * size - 10)]
+    assert seen == [(size, True, 0, None), (size, True, size, None),
+                    (size, False, 2 * size, None),
+                    (size, True, 11 * size - 10, None),
+                    (size, True, 12 * size - 10, None),
+                    (10, False, 13 * size - 10, None),
+                    (size + 3, False, 20 * size, 7), (2, False, 30 * size, 8),
+                    (5, False, 40 * size, None)]

@@ -10,6 +10,7 @@ streams, with state carried across calls and across the simulator's
 internal batches.
 """
 
+import dataclasses
 from collections import OrderedDict
 from itertools import chain
 from unittest import mock
@@ -38,7 +39,7 @@ from repro.machine.cpu import RunStreams
 from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
 from repro.machine.params import CacheParams, MemoryParams
 
-from . import charge_tuples
+from . import charge_tuples, recurring_paths
 
 
 class OracleLRU:
@@ -508,3 +509,142 @@ def test_third_kept_iteration_keeps_l2_exact():
     got = assert_fold_matches(HOT_IN_L1_ONLY, base + 64 * np.array([0, 1, 3]),
                               kernel, instance, [stream])
     assert got[1] == (11 * 10.0 + 2 * 37.5, 11, 2, 12)
+
+
+# -- recurring items: a level replays its decisions set by set -------------
+
+
+def list_oracle(params, items):
+    """Each stream's charges, decided line by line by two list LRUs, a
+    line of weight ``w`` counting ``w`` accesses and, if it missed, ``w``
+    misses (keys play no part); the levels' weighted accesses and
+    misses; and the two list LRUs."""
+    levels = [ListLRU(params.l1), ListLRU(params.l2)]
+    counts = [[0, 0], [0, 0]]
+    charges = []
+    for item in items:
+        weights = (np.ones(item.lines.size, dtype=np.int64)
+                   if item.weights is None else item.weights)
+        elements = np.atleast_1d(item.elements).tolist()
+        ends = ([item.lines.size] if item.ends is None
+                else item.ends.tolist())
+        start = 0
+        for end, count in zip(ends, elements):
+            lines, w = item.lines[start:end], weights[start:end]
+            start = end
+            missed = []
+            for level, tally in zip(levels, counts):
+                miss = np.array([level.access_lines(line).size == 1
+                                 for line in lines.reshape(-1, 1)],
+                                dtype=bool)
+                tally[0] += int(w.sum())
+                tally[1] += int(w[miss].sum())
+                missed.append(int(w[miss].sum()))
+                lines, w = lines[miss], w[miss]
+            charges.append((missed[0] * params.l1.miss_penalty
+                            + missed[1] * params.l2.miss_penalty,
+                            *missed, count))
+    return charges, counts, levels
+
+
+def strip_keys(items):
+    return [item._replace(key=None) for item in items]
+
+
+def assert_replay_matches(params, items):
+    """*items* (keyed and not) through one hierarchy call, against the
+    same items with their keys stripped and against the list LRUs: the
+    same charges, weighted counts and resident lines."""
+    keyed, plain = MemoryHierarchy(params), MemoryHierarchy(params)
+    got = list(charge_tuples(keyed.access(iter(items))))
+    assert got == list(charge_tuples(plain.access(iter(strip_keys(items)))))
+    want, counts, levels = list_oracle(params, items)
+    assert got == want
+    for level, ref, (accesses, misses) in zip((keyed.l1, keyed.l2),
+                                              levels, counts):
+        assert (level.accesses, level.misses) == (accesses, misses)
+        assert resident(level) == ref._sets
+    for a, b in ((keyed.l1, plain.l1), (keyed.l2, plain.l2)):
+        assert (a.accesses, a.misses) == (b.accesses, b.misses)
+    assert keyed.check_invariants() == []
+
+
+#: RISCV_VEC's L1 (64 sets x 8 ways, 512 lines) with a 1024-line L2 (128
+#: sets x 8 ways): a recurring item's L1 misses may hold more lines than
+#: L2, or fewer.
+SMALL_L2 = dataclasses.replace(
+    RISCV_VEC.memory,
+    l2=dataclasses.replace(RISCV_VEC.memory.l2, size_bytes=64 << 10,
+                           assoc=8))
+
+
+def recurring_items(seed, keys, recurrences, pool, length, dirty,
+                    weighted):
+    """*keys* recurring items of *length* lines each (1-3 streams) from a
+    pool of *pool* distinct lines, each sent *recurrences* times; between
+    two sends, an unkeyed item rewrites each of a random *dirty* share of
+    L1's sets with 1-10 new lines, so some sets stay as they were and
+    others change.  Folded weights: 1-5 per line when *weighted*."""
+    rng = np.random.default_rng(seed)
+    sets = SMALL_L2.l1.n_sets
+    recurring = []
+    for key in range(keys):
+        lines = rng.choice(rng.choice(1 << 20, pool, replace=False), length)
+        cuts = np.sort(rng.integers(0, length + 1, rng.integers(0, 3)))
+        ends = np.append(cuts, length)
+        weights = rng.integers(1, 6, length) if weighted else None
+        # each stream's element accesses: at least its lines' weights.
+        accesses = np.append(0, np.cumsum(
+            np.ones(length, dtype=np.int64) if weights is None else weights))
+        elements = np.diff(accesses[ends], prepend=0)
+        recurring.append(Lines(lines, elements + rng.integers(
+            0, 100, ends.size), weights, ends, key))
+    items = []
+    for _ in range(recurrences):
+        for item in recurring:
+            items.append(item)
+            rewritten = np.flatnonzero(rng.random(sets) < dirty)
+            if rewritten.size:
+                per_set = rng.integers(1, 11, rewritten.size)
+                tags = rng.integers(1 << 21, 1 << 22, per_set.sum())
+                items.append(Lines(tags * sets + np.repeat(rewritten, per_set),
+                                   int(per_set.sum())))
+    return items
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), keys=st.integers(1, 2),
+       recurrences=st.integers(2, 4),
+       pool=st.sampled_from([64, 300, 2000, 6000]),
+       length=st.integers(100, 2500),
+       dirty=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       weighted=st.booleans(), batch_lines=st.sampled_from([97, 1024]))
+def test_recurring_items_match_unkeyed_and_list_lru(
+        seed, keys, recurrences, pool, length, dirty, weighted, batch_lines):
+    """One hierarchy call fed keyed items several times, with items that
+    rewrite some sets between them.  Pools from 64 to 6000 lines and
+    items of 100-2500 lines give L1 items shorter and longer than L1 (512
+    lines), and L1 misses shorter and longer than L2 (1024 lines)."""
+    items = recurring_items(seed, keys, recurrences, pool, length, dirty,
+                            weighted)
+    with mock.patch.object(cache_mod, "BATCH_LINES", batch_lines):
+        assert_replay_matches(SMALL_L2, items)
+
+
+def test_replay_takes_every_path():
+    """A full replay, partial replays, and lone decisions at both levels,
+    each seen by a spy; and the short L2 items of a small pool are
+    batched, never decided alone."""
+    with recurring_paths() as long:
+        # L1 misses of 2000 lines from a pool of 6000: longer than L2.
+        assert_replay_matches(SMALL_L2, recurring_items(
+            1, 1, 4, 6000, 2000, 0.3, True))
+        assert_replay_matches(SMALL_L2, recurring_items(
+            2, 1, 3, 6000, 2000, 0.0, False))
+    with recurring_paths() as short:
+        # a pool of 300 lines stays in L1: its misses are shorter than L2.
+        assert_replay_matches(SMALL_L2, recurring_items(
+            3, 1, 3, 300, 1000, 0.3, False))
+    assert {("L1d", "anew"), ("L1d", "partial"), ("L1d", "full"),
+            ("L2", "anew"), ("L2", "full")} <= long
+    assert {level for level, _ in short} == {"L1d"}

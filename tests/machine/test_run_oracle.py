@@ -12,6 +12,7 @@ exactly, including when the chunk groups of ``repro.machine.cpu`` and
 the cache batches are tiny.
 """
 
+import dataclasses
 from functools import lru_cache
 from typing import Iterator
 from unittest import mock
@@ -39,9 +40,10 @@ from repro.isa.instructions import ScalarOp
 from repro.machine import cache as cache_mod, cpu as cpu_mod
 from repro.machine.cpu import Machine, strip_lengths
 from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
+from repro.machine.params import CacheParams
 from repro.metrics.counters import PhaseCounters, RunCounters, counters_to_json
 
-from . import charge_tuples
+from . import charge_tuples, recurring_paths
 
 MACHINES = [RISCV_VEC, MN4_AVX512, SX_AURORA]
 #: the five rungs, plus vec1's passes strip-mined by 4.
@@ -368,3 +370,26 @@ def test_trace_matches_walk(params, opt, vector_size):
     phases = obs.chrome.phase_span_names(obs.chrome.loads(exports[0]))
     assert len(phases) == (len(app.chunks) * len(app.compiled)
                            + solver_chunks * iterations * per_iteration)
+
+
+#: RISCV_VEC with a 256-line L2 (64 sets x 4 ways): a tiny-mesh kernel's
+#: L1 misses in one chunk can fill it, so L2 decides them alone.
+SMALL_L2 = dataclasses.replace(RISCV_VEC, memory=dataclasses.replace(
+    RISCV_VEC.memory, l2=CacheParams("L2", 16 << 10, line_bytes=64,
+                                     assoc=4, miss_penalty=40.0)))
+
+
+@pytest.mark.parametrize("params, vector_size, paths", [
+    # eight chunks: full L1 replays, and partial ones where a chunk's
+    # varying kernels rewrote some sets.
+    (RISCV_VEC, 8, {("L1d", "full"), ("L1d", "partial")}),
+    (SMALL_L2, 10, {("L2", "anew"), ("L2", "partial"), ("L2", "full")}),
+], ids=["riscv_vec-8", "small-l2-10"])
+def test_replayed_runs_match_walk(params, vector_size, paths):
+    """A chunk-invariant kernel's item recurs in every chunk, and a
+    level replays its decisions set by set: the assembly and solver
+    runs, two hierarchy calls on one machine, must match the walk, and
+    each path (*paths*) must have run."""
+    with recurring_paths() as seen:
+        assert_same_run(params, ("vec1", None), vector_size, True, True)
+    assert paths <= seen
