@@ -15,8 +15,8 @@ The package simulates the paper's entire stack in Python:
 * :mod:`repro.obs` -- the observability spine: one ambient tracer
   through every layer (machine phase spans on the cycle clock, emulator
   instruction streams, executor progress), with Paraver / Chrome
-  ``trace_event`` exporters, terminal renderers, and the per-phase
-  cycle regression gate behind ``repro bench --baseline``;
+  ``trace_event`` exporters, terminal renderers, and the exact
+  per-phase cycle gate behind ``repro bench --baseline``;
 * :mod:`repro.trace` -- Extrae/Vehave/Paraver-style trace files and
   analysis (the exporter side of :mod:`repro.obs`);
 * :mod:`repro.experiments` -- the harness regenerating every table and

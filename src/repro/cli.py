@@ -6,11 +6,11 @@ command per artifact or workflow:
 * ``info``                      -- the Table-2 platform summary;
 * ``table N`` / ``figure N``    -- regenerate one paper artifact;
 * ``sweep``                     -- the Figure-11 speed-up ladder;
-* ``bench``                     -- time the sweep executor, write BENCH_report.json;
-  with ``--baseline PATH`` it also gates the fresh per-phase cycle
-  counts against a committed report and exits non-zero on a breach;
-  ``--schedule NAME[,NAME...]`` replays discovered pass schedules
-  (e.g. from ``repro autotune``) as extra gated runs;
+* ``bench``                     -- time the sweep executor, write BENCH_current.json;
+  with ``--baseline PATH`` it also checks every per-phase cycle count
+  against a committed report, exactly: exit 1 on any difference, exit
+  2 before simulating when the baseline does not fit the plan or
+  ``-o`` names it;
 * ``autotune``                  -- discover the best pass schedule per
   phase: enumerate legal schedules (interchange x fission x
   const-trip-count x strip-mine), prune with the machine-model cost
@@ -61,18 +61,6 @@ _FIGURES = {2: F.figure2, 3: F.figure3, 4: F.figure4, 5: F.figure5,
 
 def _mesh_dims(name: str) -> tuple[int, int, int]:
     return resolve_mesh(name)
-
-
-def _threshold(text: str) -> float:
-    """``--threshold``: a finite number ``>= 0``, checked before anything
-    is simulated."""
-    from repro.obs import gate
-
-    try:
-        return gate.check_threshold(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a finite number >= 0") from None
 
 
 def _job_count(text: str) -> int:
@@ -236,24 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smoke = 4 runs (three assembly runs and one "
                         "assemble+solve run), standard = the full ~50-run "
                         "sweep")
-    p.add_argument("-o", "--output", default="BENCH_report.json",
+    p.add_argument("-o", "--output", default="BENCH_current.json",
                    help="benchmark report path (JSON)")
     p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="gate the fresh per-phase cycle counts against "
+                   help="check the fresh per-phase cycle counts against "
                         "this committed bench report; exit 1 on any "
-                        "phase drifting past --threshold")
-    p.add_argument("--threshold", type=_threshold, default=None,
-                   metavar="FRAC",
-                   help="relative per-phase tolerance for --baseline "
-                        "(default 0.10 = 10%%)")
-    p.add_argument("--schedule", action="append", default=None,
-                   metavar="NAME[,NAME...]",
-                   help="replay a discovered pass schedule as an extra "
-                        "benchmarked (and --baseline gated) run; "
-                        "comma-separate passes within one schedule, "
-                        "repeat the flag for several schedules "
-                        "(e.g. --schedule const-trip-count,loop-"
-                        "interchange,loop-fission)")
+                        "difference")
 
     p = sub.add_parser("autotune", help="discover the best pass schedule "
                                         "per phase; write a deterministic "
@@ -369,38 +345,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _append_bench_history(report_path, payload: dict):
-    """Append one machine/preset-keyed line to ``BENCH_history.jsonl``
-    next to the report, so successive ``repro bench`` runs accumulate a
-    local performance timeline.  Best-effort: an unwritable history file
-    never fails the bench that produced it.  Returns the history path,
-    or ``None`` if the append failed."""
-    import platform
-
-    entry = {
-        "timestamp": payload["timestamp"],
-        "host": platform.node() or "unknown",
-        "machine": platform.machine() or "unknown",
-        "mesh": payload["mesh"],
-        "profile": payload["profile"],
-        "configs": payload["configs"],
-        "jobs": payload["jobs"],
-        "serial_s": payload["serial_s"],
-        "parallel_s": payload["parallel_s"],
-        "warm_s": payload["warm_s"],
-        "speedup": payload["speedup"],
-    }
-    history = report_path.parent / "BENCH_history.jsonl"
-    try:
-        with history.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    except OSError:
-        return None
-    return history
-
-
 def _cmd_bench(args) -> int:
-    """Cold serial vs cold parallel vs warm recall over one plan."""
+    """Cold serial vs cold parallel vs warm recall over one plan; with
+    ``--baseline``, the serial leg's per-phase cycles must equal the
+    baseline's."""
     import tempfile
     from pathlib import Path
 
@@ -412,28 +360,17 @@ def _cmd_bench(args) -> int:
     plan = (ExecutionPlan.smoke(dims) if args.profile == "smoke"
             else ExecutionPlan.standard(dims))
 
-    # --schedule NAME[,NAME...]: replay discovered pass schedules (the
-    # autotune ledger) as extra runs; their per-phase cycles join
-    # phase_cycles, so a committed baseline gates them like any rung.
-    schedules: list[tuple[str, ...]] = []
-    if args.schedule:
-        from repro.compiler.transforms import (
-            PipelineError,
-            pipeline_from_names,
-        )
-
-        for spec in args.schedule:
-            names = tuple(s.strip() for s in spec.split(",") if s.strip())
-            try:
-                pipeline_from_names(names)  # legality: spelling + registry
-            except PipelineError as exc:
-                print(f"[bench] bad --schedule {spec!r}: {exc}",
-                      file=sys.stderr, flush=True)
-                return 2
-            schedules.append(names)
-        extras = [RunConfig(opt="vanilla", vector_size=240, mesh_dims=dims,
-                            passes=names or None) for names in schedules]
-        plan = ExecutionPlan.from_configs(list(plan) + extras)
+    baseline = None
+    if args.baseline:
+        try:
+            if Path(args.output).resolve() == Path(args.baseline).resolve():
+                raise ValueError(f"-o {args.output} would overwrite it")
+            baseline = gate.load_baseline(args.baseline, dims,
+                                          [cfg.key() for cfg in plan])
+        except ValueError as exc:
+            print(f"[bench] unusable baseline: {exc}",
+                  file=sys.stderr, flush=True)
+            return 2
 
     def timed(cache_dir, n):
         t0 = time.perf_counter()
@@ -451,7 +388,6 @@ def _cmd_bench(args) -> int:
         "paper": "Exploiting long vectors with a CFD code (IPPS 2024)",
         "mesh": list(dims),
         "profile": args.profile,
-        "schedules": [list(s) for s in schedules],
         "configs": len(plan),
         "jobs": jobs,
         "serial_s": round(serial_s, 3),
@@ -469,7 +405,6 @@ def _cmd_bench(args) -> int:
         "phase_cycles": gate.phase_cycles_payload(serial_res.runs),
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    history = _append_bench_history(Path(args.output), payload)
     rows = [["", "wall-clock [s]", "simulated", "cache hits"],
             ["serial (j=1)", f"{serial_s:.2f}",
              str(serial_res.stats.simulated), str(serial_res.stats.cache_hits)],
@@ -480,31 +415,19 @@ def _cmd_bench(args) -> int:
              str(warm_res.stats.cache_hits)]]
     print(report.format_table(rows))
     print(f"\nspeedup (serial/parallel): {payload['speedup']}x"
-          f" -- report written to {args.output}"
-          + (f", history appended to {history}" if history else ""))
-    if schedules:
-        print("replayed schedule(s): "
-              + ", ".join("+".join(s) or "baseline" for s in schedules))
+          f" -- report written to {args.output}")
 
-    if args.baseline:
-        threshold = (gate.DEFAULT_THRESHOLD if args.threshold is None
-                     else args.threshold)
-        try:
-            breaches = gate.check_report(payload, args.baseline,
-                                         threshold=threshold)
-        except ValueError as exc:
-            print(f"[bench] unusable baseline: {exc}",
-                  file=sys.stderr, flush=True)
-            return 2
-        gated = len(set(payload["phase_cycles"]))
+    if baseline is not None:
+        current = payload["phase_cycles"]
+        compared = len(set(current) & set(baseline))
+        breaches = gate.compare_phase_cycles(current, baseline)
         if breaches:
-            print(f"\nFAIL: {len(breaches)} phase cycle count(s) drifted "
-                  f"past {threshold:.0%} vs {args.baseline}:")
+            print(f"\nFAIL: {len(breaches)} phase cycle count(s) over "
+                  f"{compared} run(s) differ from {args.baseline}:")
             for b in breaches:
                 print(f"  {b.describe()}")
             return 1
-        print(f"\ngate: {gated} run(s) within {threshold:.0%} "
-              f"of {args.baseline}")
+        print(f"\ngate: {compared} run(s) identical to {args.baseline}")
     return 0
 
 

@@ -37,6 +37,7 @@ module; nothing here depends on ``Session``, so workers import cheaply.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -46,7 +47,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -262,13 +263,30 @@ def payload_digest(payload: dict) -> str:
         json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-def _discard(path: Path, exc: Exception) -> str:
-    """Delete a corrupt cache entry; returns the ``cache_corrupt`` reason."""
+@functools.lru_cache(maxsize=None)
+def _params_stamp(params) -> str:
+    text = json.dumps(asdict(params), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def machine_stamp(cfg: RunConfig) -> str:
+    """Short digest of the parameters of *cfg*'s machine preset, stored
+    with each cache entry as ``__machine__``.  :meth:`RunConfig.key`
+    names the preset but none of its parameters, so an edited preset
+    must not be served the old preset's counters."""
+    from repro.machine.machines import get_machine
+
+    return _params_stamp(get_machine(cfg.machine))
+
+
+def _discard(path: Path, reason: str) -> str:
+    """Delete an unusable cache entry; returns the ``cache_corrupt``
+    *reason*."""
     try:
         path.unlink()
     except OSError:  # pragma: no cover - best-effort cleanup
         pass
-    return f"discarded corrupt cache entry: {exc!r}"
+    return reason
 
 
 def read_cached_payload(cache_dir: str | os.PathLike,
@@ -279,8 +297,9 @@ def read_cached_payload(cache_dir: str | os.PathLike,
     The digest-checking half of :func:`load_cached_entry`, and the one
     reader of the run cache.  Returns ``(payload, "")`` on a hit,
     ``(None, "")`` for a missing entry, and ``(None, reason)`` when a
-    torn, malformed or digest-mismatching entry, or a ``solve=True``
-    entry without its ``__solve__`` record, was discarded.
+    torn, malformed or digest-mismatching entry, a ``solve=True`` entry
+    without its ``__solve__`` record, or an entry stored for other
+    machine parameters (:func:`machine_stamp`) was discarded.
 
     :func:`simulate_to_dict` always writes the ``__solve__`` record
     together with phases 9-12, so a solve entry without it holds the
@@ -300,7 +319,10 @@ def read_cached_payload(cache_dir: str | os.PathLike,
         if cfg.solve and "__solve__" not in data:
             raise ValueError("solve entry without its __solve__ record")
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        return None, _discard(path, exc)
+        return None, _discard(path, f"discarded corrupt cache entry: {exc!r}")
+    if data.get("__machine__") != machine_stamp(cfg):
+        return None, _discard(path, f"discarded stale cache entry: stored "
+                                    f"for other {cfg.machine} parameters")
     return data, ""
 
 
@@ -321,7 +343,8 @@ def load_cached_entry(cache_dir: str | os.PathLike,
     try:
         return counters_from_dict(data), ""
     except (KeyError, TypeError, ValueError) as exc:
-        return None, _discard(cache_path(cache_dir, cfg), exc)
+        return None, _discard(cache_path(cache_dir, cfg),
+                              f"discarded corrupt cache entry: {exc!r}")
 
 
 def load_cached(cache_dir: str | os.PathLike, cfg: RunConfig) -> Optional[RunCounters]:
@@ -375,11 +398,13 @@ def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig, payload: dict) -
     """Atomically and durably persist one run's counter dict
     (:func:`write_atomic`).  A content digest is stamped into the
     payload so silent on-disk corruption (bit rot, partial overwrite)
-    is detectable at load time.
+    is detectable at load time, and the preset's :func:`machine_stamp`
+    so an edited preset re-simulates.
     """
     target = cache_path(cache_dir, cfg)
     payload = dict(payload)
     payload["__digest__"] = payload_digest(payload)
+    payload["__machine__"] = machine_stamp(cfg)
     write_atomic(target, _dump_payload(payload))
     return target
 

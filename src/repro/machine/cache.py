@@ -343,11 +343,6 @@ class Cache:
         self.accesses = 0
         self.misses = 0
 
-    def reset(self) -> None:
-        self._fill[:] = 0
-        self.accesses = 0
-        self.misses = 0
-
     def access_lines(self, lines: np.ndarray,
                      weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Access a stream of line indices in order.
@@ -575,12 +570,6 @@ class MemoryHierarchy:
         self.l2: Optional[Cache] = Cache(params.l2) if params.l2 is not None else None
         #: element-level access count (before line collapsing), for the
         #: misses-per-kilo-instruction style metrics.
-        self.element_accesses = 0
-
-    def reset(self) -> None:
-        self.l1.reset()
-        if self.l2 is not None:
-            self.l2.reset()
         self.element_accesses = 0
 
     def access(self, streams: Iterable["np.ndarray | Lines"]) -> Charges:

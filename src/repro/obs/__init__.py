@@ -13,8 +13,8 @@ threaded through every layer:
 * :mod:`repro.obs.render` -- terminal timeline and vl-histogram views;
 * :mod:`repro.obs.workers` -- per-worker trace files merged across the
   executor's process pool;
-* :mod:`repro.obs.gate` -- the ``repro bench --baseline`` per-phase
-  cycle regression gate.
+* :mod:`repro.obs.gate` -- the ``repro bench --baseline`` exact
+  per-phase cycle gate.
 
 The Paraver exporter and trace analysis stay in :mod:`repro.trace`
 (they operate on the same tracer).

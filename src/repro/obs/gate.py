@@ -1,54 +1,47 @@
-"""Performance-regression gate over per-phase cycle counts.
+"""Per-phase cycle gate over ``repro bench`` reports.
 
 ``repro bench`` stamps every run's per-phase cycle counts into its JSON
-report; this module diffs a fresh report against a committed baseline
-(``BENCH_report.json``) and reports every phase whose cycle count moved
-by more than a threshold.  Because the timing model is deterministic,
-*any* drift is a model change: the gate is how future perf PRs prove a
-speed-up (or get caught regressing one) -- the same role the paper's
+report; this module checks a committed baseline (``BENCH_report.json``)
+before anything is simulated, then lists every phase whose cycle count
+differs from it.  The timing model is deterministic, so the comparison
+is exact: *any* difference is a model change, and a PR that changes the
+model re-records the baseline and says why -- the same role the paper's
 per-phase cycle tables play in the co-design loop.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.metrics.counters import RunCounters
-
-#: default relative tolerance: a phase moving >= 10% fails the gate.
-DEFAULT_THRESHOLD = 0.10
 
 
 @dataclass(frozen=True)
 class Breach:
-    """One per-phase cycle count outside the gate's tolerance."""
+    """One per-phase cycle count that differs from the baseline's; the
+    side that lacks the phase holds ``None``."""
 
     key: str          #: run cache key
     phase: int
-    baseline: float
-    current: float
+    baseline: Optional[float]
+    current: Optional[float]
 
     @property
     def ratio(self) -> float:
         return self.current / self.baseline if self.baseline else float("inf")
 
     def describe(self) -> str:
+        where = f"{self.key} phase {self.phase}"
+        if self.baseline is None:
+            return f"{where}: not in the baseline ({self.current!r} cycles)"
+        if self.current is None:
+            return f"{where}: missing (baseline {self.baseline!r} cycles)"
         direction = "regression" if self.current > self.baseline else "speed-up"
-        return (f"{self.key} phase {self.phase}: {self.baseline:,.0f} -> "
-                f"{self.current:,.0f} cycles ({self.ratio:.3f}x, {direction})")
-
-
-def check_threshold(threshold: float) -> float:
-    """*threshold*, if it is a finite number ``>= 0``; else
-    ``ValueError``."""
-    if not math.isfinite(threshold) or threshold < 0:
-        raise ValueError(f"threshold {threshold!r} is not a finite number "
-                         ">= 0")
-    return threshold
+        return (f"{where}: {self.baseline!r} -> {self.current!r} cycles "
+                f"({self.ratio:.6f}x, {direction})")
 
 
 def phase_cycles_payload(runs: Mapping[str, RunCounters]) -> dict:
@@ -61,68 +54,57 @@ def phase_cycles_payload(runs: Mapping[str, RunCounters]) -> dict:
     }
 
 
-def compare_phase_cycles(current: Mapping, baseline: Mapping,
-                         threshold: float = DEFAULT_THRESHOLD) -> list[Breach]:
-    """Diff two ``phase_cycles`` sections; returns the breaches.
+def load_baseline(path: str | Path, mesh: Sequence[int],
+                  keys: Iterable[str]) -> dict:
+    """The ``phase_cycles`` section of the bench report at *path*, for a
+    plan on *mesh* whose runs have the cache keys *keys*.
 
-    Only keys present in both reports are compared (a baseline recorded
-    on a different profile simply gates fewer runs); a phase present on
-    one side only is a breach -- phases must not appear or vanish
-    silently.  A *threshold* that is not a finite number ``>= 0`` raises
-    ``ValueError``: NaN or infinity would pass any drift, and a negative
-    one would fail unchanged phases.
+    Raises ``ValueError`` unless the report parses, has a
+    ``phase_cycles`` section, was recorded on *mesh* and holds exactly
+    *keys*: a gate over another plan's runs would compare fewer runs
+    than it reports, or none.
     """
-    check_threshold(threshold)
-    breaches: list[Breach] = []
-    for key in sorted(set(current) & set(baseline)):
-        cur, base = current[key], baseline[key]
-        for pid in sorted(set(cur) | set(base), key=int):
-            c = float(cur.get(pid, 0.0))
-            b = float(base.get(pid, 0.0))
-            if pid not in cur or pid not in base:
-                breaches.append(Breach(key=key, phase=int(pid),
-                                       baseline=b, current=c))
-                continue
-            if b == 0.0:
-                if c != 0.0:
-                    breaches.append(Breach(key=key, phase=int(pid),
-                                           baseline=b, current=c))
-                continue
-            if abs(c - b) / b > threshold:
-                breaches.append(Breach(key=key, phase=int(pid),
-                                       baseline=b, current=c))
-    return breaches
-
-
-def check_report(current: Mapping, baseline_path: str | Path,
-                 threshold: float = DEFAULT_THRESHOLD) -> list[Breach]:
-    """Gate a fresh bench report payload against a baseline file.
-
-    Raises ``ValueError`` when the baseline is unusable (missing,
-    malformed, no ``phase_cycles`` section, or recorded on a different
-    mesh) -- a broken gate must fail loudly, not pass vacuously.
-    """
-    path = Path(baseline_path)
+    path = Path(path)
     try:
         baseline = json.loads(path.read_text())
     except FileNotFoundError:
         raise ValueError(f"baseline {path} does not exist") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"baseline {path} is not valid JSON: {exc}") from None
-    if not isinstance(baseline, dict) or "phase_cycles" not in baseline:
+    sections = (baseline.get("phase_cycles")
+                if isinstance(baseline, dict) else None)
+    if not (isinstance(sections, dict)
+            and all(isinstance(s, dict) for s in sections.values())):
         raise ValueError(
             f"baseline {path} has no phase_cycles section "
             f"(regenerate it with a current 'repro bench')")
-    if baseline.get("mesh") != current.get("mesh"):
+    if baseline.get("mesh") != list(mesh):
         raise ValueError(
-            f"baseline mesh {baseline.get('mesh')} != current mesh "
-            f"{current.get('mesh')}: re-run bench with --mesh matching "
-            f"the baseline")
-    common = set(current["phase_cycles"]) & set(baseline["phase_cycles"])
-    if not common:
+            f"baseline mesh {baseline.get('mesh')} != the plan's mesh "
+            f"{list(mesh)}: re-run bench with --mesh matching the baseline")
+    keys = set(keys)
+    if set(sections) != keys:
         raise ValueError(
-            "baseline and current reports share no run keys; nothing "
-            "would be gated (profile mismatch?)")
-    return compare_phase_cycles(current["phase_cycles"],
-                                baseline["phase_cycles"],
-                                threshold=threshold)
+            f"baseline {path} holds {len(set(sections) - keys)} run(s) the "
+            f"plan does not and lacks {len(keys - set(sections))} of its "
+            f"{len(keys)}: re-run bench with --profile matching the baseline")
+    return sections
+
+
+def compare_phase_cycles(current: Mapping, baseline: Mapping) -> list[Breach]:
+    """Every per-phase cycle count in which two ``phase_cycles`` sections
+    differ, in run-key and phase order.
+
+    Exact: a count that moved in either direction is a breach, and so is
+    a phase (or a whole run) present on one side only -- phases must not
+    appear or vanish silently.
+    """
+    breaches: list[Breach] = []
+    for key in sorted(set(current) | set(baseline)):
+        cur, base = current.get(key, {}), baseline.get(key, {})
+        for pid in sorted(set(cur) | set(base), key=int):
+            if cur.get(pid) != base.get(pid):
+                breaches.append(Breach(key=key, phase=int(pid),
+                                       baseline=base.get(pid),
+                                       current=cur.get(pid)))
+    return breaches

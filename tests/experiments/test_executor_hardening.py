@@ -139,6 +139,28 @@ def test_flop_ladder_restore_keeps_the_solve_record(tmp_path, monkeypatch):
     assert again.stats.cache_corrupt == again.stats.simulated == 0
 
 
+def test_edited_preset_is_resimulated(tmp_path, monkeypatch):
+    # RunConfig.key() names the preset but none of its parameters: an
+    # entry stored before a preset edit must not be served after it.
+    from repro.machine import machines
+    from repro.metrics.counters import counters_to_dict
+
+    old = execute_plan([CFG], cache_dir=tmp_path).counters_for(CFG)
+    preset = machines.MACHINES["riscv_vec"]
+    monkeypatch.setitem(machines.MACHINES, "riscv_vec", replace(
+        preset, vpu=replace(preset.vpu, strip_stall_cycles=23.0)))
+    events = []
+    res = execute_plan([CFG], cache_dir=tmp_path, on_event=events.append)
+    assert res.stats.cache_hits == 0 and res.stats.simulated == 1
+    [stale] = [ev for ev in events if ev.kind == "cache_corrupt"]
+    assert "discarded stale cache entry" in stale.error
+    new = res.counters_for(CFG)
+    assert new.total_cycles != old.total_cycles
+    assert counters_to_dict(new) == counters_to_dict(simulate_run(CFG))
+    # the re-simulated entry is stamped for the edited preset.
+    assert execute_plan([CFG], cache_dir=tmp_path).stats.cache_hits == 1
+
+
 def test_digest_ignores_reserved_metadata_keys():
     payload = {"1": {"cycles_total": 1.0}}
     annotated = {**payload, "__validation__": {"ok": True}}

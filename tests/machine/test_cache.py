@@ -54,14 +54,6 @@ def test_lru_eviction_order():
     assert c.access_lines(np.array([8])).tolist() == [True]  # 8 evicted
 
 
-def test_reset():
-    c = make_cache()
-    c.access_lines(np.array([1, 2, 3]))
-    c.reset()
-    assert c.accesses == 0 and c.misses == 0
-    assert c.access_lines(np.array([1])).tolist() == [True]
-
-
 def test_hierarchy_penalties_and_counts():
     params = MemoryParams(
         l1=CacheParams("L1", 512, line_bytes=64, assoc=2, miss_penalty=10.0),

@@ -1,4 +1,4 @@
-"""Tests for the per-phase cycle regression gate (repro bench --baseline)."""
+"""Tests for the exact per-phase cycle gate (repro bench --baseline)."""
 
 import json
 
@@ -31,84 +31,80 @@ def test_identical_reports_pass():
     assert gate.compare_phase_cycles(pc, pc) == []
 
 
-def test_drift_within_threshold_passes():
-    cur = {"k": {"6": 1090.0}}
-    base = {"k": {"6": 1000.0}}
-    assert gate.compare_phase_cycles(cur, base, threshold=0.10) == []
-
-
 def test_injected_regression_breaches():
     cur = {"k": {"1": 100.0, "6": 1150.0}}
     base = {"k": {"1": 100.0, "6": 1000.0}}
-    (b,) = gate.compare_phase_cycles(cur, base, threshold=0.10)
+    (b,) = gate.compare_phase_cycles(cur, base)
     assert b.phase == 6 and b.ratio == pytest.approx(1.15)
     assert "regression" in b.describe()
 
 
 def test_speedup_past_threshold_also_flags():
-    # the gate is two-sided: an unexplained speed-up is a model change too.
+    # the gate is two-sided: an unexplained speed-up is a model change
+    # too, and there is no threshold for it to stay within.
     cur = {"k": {"6": 800.0}}
     base = {"k": {"6": 1000.0}}
     (b,) = gate.compare_phase_cycles(cur, base)
     assert "speed-up" in b.describe()
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
-def test_threshold_must_be_finite_and_non_negative(threshold):
-    # NaN and infinity would let any drift through; a negative threshold
-    # would fail unchanged phases.
-    pc = {"k": {"6": 233420.0}}
-    with pytest.raises(ValueError, match="not a finite number >= 0"):
-        gate.compare_phase_cycles(pc, {"k": {"6": 1.0}}, threshold=threshold)
-    with pytest.raises(ValueError, match="not a finite number >= 0"):
-        gate.compare_phase_cycles(pc, pc, threshold=threshold)
-
-
-def test_zero_threshold_fails_any_drift():
-    assert gate.compare_phase_cycles({"k": {"6": 1000.0}},
-                                     {"k": {"6": 1000.0}}, threshold=0) == []
-    (b,) = gate.compare_phase_cycles({"k": {"6": 1000.5}},
-                                     {"k": {"6": 1000.0}}, threshold=0)
-    assert b.phase == 6
+@pytest.mark.parametrize("current", [1000.5, 999.5, 1000.0 + 1e-9])
+def test_any_difference_is_a_breach(current):
+    # the model is deterministic: any difference, in either direction
+    # and however small, is a model change.
+    (b,) = gate.compare_phase_cycles({"k": {"6": current}},
+                                     {"k": {"6": 1000.0}})
+    assert (b.key, b.phase, b.baseline, b.current) == ("k", 6, 1000.0, current)
+    assert repr(current) in b.describe()
 
 
 def test_phase_appearing_or_vanishing_is_a_breach():
     cur = {"k": {"1": 100.0, "9": 5.0}}
     base = {"k": {"1": 100.0, "2": 50.0}}
     breaches = gate.compare_phase_cycles(cur, base)
-    assert {b.phase for b in breaches} == {2, 9}
+    assert [(b.phase, b.baseline, b.current) for b in breaches] == [
+        (2, 50.0, None), (9, None, 5.0)]
+    assert "missing" in breaches[0].describe()
+    assert "not in the baseline" in breaches[1].describe()
 
 
-def test_only_common_keys_compared():
-    cur = {"k1": {"1": 100.0}}
-    base = {"k1": {"1": 100.0}, "k2": {"1": 999.0}}
-    assert gate.compare_phase_cycles(cur, base) == []
+def test_run_missing_from_the_report_is_a_breach():
+    # a run the sweep failed to produce breaches every baseline phase.
+    breaches = gate.compare_phase_cycles(
+        {"k1": {"1": 100.0}}, {"k1": {"1": 100.0}, "k2": {"1": 9.0, "2": 8.0}})
+    assert [(b.key, b.phase, b.current) for b in breaches] == [
+        ("k2", 1, None), ("k2", 2, None)]
+
+
+def _load(path, keys=("k",)):
+    return gate.load_baseline(path, (4, 4, 4), keys)
 
 
 def test_check_report_happy_path(tmp_path):
     pc = {"k": {"1": 100.0}}
     path = tmp_path / "base.json"
     path.write_text(json.dumps(_payload(pc)))
-    assert gate.check_report(_payload(pc), path) == []
+    assert _load(path) == pc
+    assert gate.compare_phase_cycles(pc, _load(path)) == []
 
 
 def test_check_report_missing_baseline(tmp_path):
     with pytest.raises(ValueError, match="does not exist"):
-        gate.check_report(_payload({}), tmp_path / "nope.json")
+        _load(tmp_path / "nope.json")
 
 
 def test_check_report_malformed_baseline(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
-        gate.check_report(_payload({}), path)
+        _load(path)
 
 
 def test_check_report_without_phase_cycles_section(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"mesh": [4, 4, 4], "serial_s": 1.0}))
     with pytest.raises(ValueError, match="phase_cycles"):
-        gate.check_report(_payload({}), path)
+        _load(path)
 
 
 def test_check_report_mesh_mismatch(tmp_path):
@@ -116,14 +112,18 @@ def test_check_report_mesh_mismatch(tmp_path):
     path = tmp_path / "base.json"
     path.write_text(json.dumps(_payload(pc, mesh=(8, 8, 15))))
     with pytest.raises(ValueError, match="mesh"):
-        gate.check_report(_payload(pc), path)
+        _load(path)
 
 
-def test_check_report_no_common_keys(tmp_path):
+@pytest.mark.parametrize("recorded", [("k", "extra"), (), ("other",)],
+                         ids=["extra-run", "lacks-a-run", "disjoint"])
+def test_check_report_key_set_mismatch(tmp_path, recorded):
+    # another profile's baseline gates other runs: comparing only the
+    # shared ones would pass on fewer runs than the plan has.
     path = tmp_path / "base.json"
-    path.write_text(json.dumps(_payload({"other": {"1": 1.0}})))
-    with pytest.raises(ValueError, match="no run keys"):
-        gate.check_report(_payload({"mine": {"1": 1.0}}), path)
+    path.write_text(json.dumps(_payload({k: {"1": 1.0} for k in recorded})))
+    with pytest.raises(ValueError, match="--profile"):
+        _load(path)
 
 
 def test_committed_baseline_is_current(repo_root=None):

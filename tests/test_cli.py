@@ -204,24 +204,6 @@ def test_bench_smoke_writes_json_report(tmp_path, capsys, monkeypatch):
         assert set(phases) == {str(p) for p in range(1, last)}
 
 
-def test_bench_appends_history_jsonl(tmp_path, capsys, monkeypatch):
-    import json
-
-    monkeypatch.chdir(tmp_path)
-    for _ in range(2):
-        code, out = run_cli(capsys, "bench", "--mesh", "tiny",
-                            "--profile", "smoke", "-o", "bench.json")
-        assert code == 0
-        assert "history appended to" in out
-    lines = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-    assert len(lines) == 2  # one line per run, appended not overwritten
-    for line in lines:
-        entry = json.loads(line)
-        assert entry["mesh"] == [4, 4, 4] and entry["profile"] == "smoke"
-        assert entry["timestamp"] and entry["host"] and entry["machine"]
-        assert entry["serial_s"] > 0 and entry["speedup"] is not None
-
-
 def test_bench_baseline_gate(tmp_path, capsys, monkeypatch):
     import json
 
@@ -230,13 +212,13 @@ def test_bench_baseline_gate(tmp_path, capsys, monkeypatch):
                       "--profile", "smoke", "-o", "base.json")
     assert code == 0
 
-    # fresh report vs itself: within tolerance, exit 0.
+    # fresh report vs itself: identical, exit 0.
     code, out = run_cli(capsys, "bench", "--mesh", "tiny",
                         "--profile", "smoke", "-o", "cur.json",
                         "--baseline", "base.json")
-    assert code == 0 and "gate:" in out
+    assert code == 0 and "gate: 4 run(s) identical" in out
 
-    # inject a >=10% per-phase regression into the baseline: exit 1.
+    # inject a per-phase regression into the baseline: exit 1.
     doc = json.loads((tmp_path / "base.json").read_text())
     key = next(iter(doc["phase_cycles"]))
     doc["phase_cycles"][key]["6"] *= 1.15
@@ -247,29 +229,80 @@ def test_bench_baseline_gate(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out and "phase 6" in out
 
-    # a wider threshold lets the same drift through.
-    code, out = run_cli(capsys, "bench", "--mesh", "tiny",
-                        "--profile", "smoke", "-o", "cur3.json",
-                        "--baseline", "regressed.json",
-                        "--threshold", "0.25")
-    assert code == 0 and "gate:" in out
+
+def _committed_baseline():
+    from pathlib import Path
+
+    return Path(__file__).resolve().parents[1] / "BENCH_report.json"
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1"])
-def test_bench_rejects_threshold_before_simulating(threshold, tmp_path,
-                                                   capsys, monkeypatch):
-    """NaN or infinity would let any drift through the gate, and a
-    negative threshold would fail unchanged phases: argparse rejects
-    them (exit 2) before anything runs or is written."""
+def test_bench_readme_form_gates_without_overwriting(tmp_path, capsys,
+                                                     monkeypatch):
+    """The documented command (no ``-o``) against a baseline one cycle
+    off: exit 1 naming that run and phase, the report goes to
+    ``BENCH_current.json`` and the baseline is left as it was."""
+    import json
+
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--mesh", "tiny", "--profile", "smoke",
-              "-o", "cur.json", "--baseline", "base.json",
-              "--threshold", threshold])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"'{threshold}' is not a finite number >= 0" in err
-    assert list(tmp_path.iterdir()) == []
+    doc = json.loads(_committed_baseline().read_text())
+    key = sorted(doc["phase_cycles"])[1]
+    doc["phase_cycles"][key]["6"] += 1.0
+    base = tmp_path / "BENCH_report.json"
+    base.write_text(json.dumps(doc, indent=2) + "\n")
+    recorded = base.read_bytes()
+
+    code, out = run_cli(capsys, "bench", "--mesh", "tiny",
+                        "--profile", "smoke", "--baseline", "BENCH_report.json")
+    assert code == 1
+    assert "FAIL: 1 phase cycle count(s) over 4 run(s)" in out
+    assert f"{key} phase 6: " in out
+    assert base.read_bytes() == recorded
+    current = json.loads((tmp_path / "BENCH_current.json").read_text())
+    assert current["phase_cycles"] == json.loads(
+        _committed_baseline().read_text())["phase_cycles"]
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """A spy on ``execute_plan`` that fails the test when called."""
+    import repro.experiments.executor as executor
+
+    def spy(*args, **kwargs):
+        pytest.fail("repro bench simulated before rejecting its baseline")
+
+    monkeypatch.setattr(executor, "execute_plan", spy)
+
+
+def _other_profile(doc):
+    from repro.experiments.executor import ExecutionPlan
+
+    standard = ExecutionPlan.standard(tuple(doc["mesh"]))
+    return {**doc, "profile": "standard", "phase_cycles": {
+        cfg.key(): {"1": 1.0} for cfg in standard}}
+
+
+@pytest.mark.parametrize("baseline, output", [
+    (lambda doc: "{not json", "cur.json"),
+    (lambda doc: {**doc, "mesh": [8, 8, 15]}, "cur.json"),
+    (_other_profile, "cur.json"),
+    (lambda doc: doc, "./BENCH_report.json"),
+], ids=["malformed", "other-mesh", "other-profile", "output-is-baseline"])
+def test_bench_rejects_baseline_before_simulating(baseline, output, tmp_path,
+                                                  capsys, monkeypatch,
+                                                  no_simulation):
+    import json
+
+    monkeypatch.chdir(tmp_path)
+    doc = baseline(json.loads(_committed_baseline().read_text()))
+    base = tmp_path / "BENCH_report.json"
+    base.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    recorded = base.read_bytes()
+    code = main(["bench", "--mesh", "tiny", "--profile", "smoke",
+                 "-o", output, "--baseline", "BENCH_report.json"])
+    assert code == 2
+    assert "[bench] unusable baseline" in capsys.readouterr().err
+    assert base.read_bytes() == recorded
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_report.json"]
 
 
 def test_sweep_rejects_negative_jobs_before_simulating(tmp_path, capsys,
@@ -284,12 +317,14 @@ def test_sweep_rejects_negative_jobs_before_simulating(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bench_baseline_unusable_exits_2(tmp_path, capsys, monkeypatch):
+def test_bench_baseline_unusable_exits_2(tmp_path, capsys, monkeypatch,
+                                        no_simulation):
     monkeypatch.chdir(tmp_path)
     code, _ = run_cli(capsys, "bench", "--mesh", "tiny",
                       "--profile", "smoke", "-o", "cur.json",
                       "--baseline", "missing.json")
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_survives_corrupted_cache(tmp_path, capsys, monkeypatch):
