@@ -26,7 +26,7 @@ ambient tracer sees tuning like any other workload.
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.autotune.costmodel import ScheduleCostModel
 from repro.autotune.report import (
@@ -46,7 +46,9 @@ from repro.experiments.executor import (
 )
 from repro.machine.machines import get_machine
 from repro.metrics.counters import RunCounters
-from repro.obs.tracer import event as _obs_event, span as _obs_span
+from repro.obs.tracer import event as _obs_event
+from repro.obs.tracer import span as _obs_span
+from repro.scope import build_scope
 from repro.validation.digests import (
     phase_output_digests,
     solver_phase_digests,
@@ -82,11 +84,13 @@ def validate_schedule(schedule: tuple[str, ...], *, vector_size: int,
     Compares the candidate's per-phase output digests -- assembly
     phases and the solver phases 9-12 -- against the honest baseline at
     the same VECTOR_SIZE (digests are only comparable at equal vector
-    sizes).  Bit-identical or it may not win.
+    sizes).  Bit-identical or it may not win.  The empty schedule is
+    the honest probe itself (as in :func:`candidate_config`), so it
+    reuses the honest digests.
     """
     honest = Probe(opt="vanilla", vector_size=vector_size, backend=backend)
     probe = Probe(opt="vanilla", vector_size=vector_size, backend=backend,
-                  passes=schedule)
+                  passes=schedule or None)
     # each probe's two ladders back to back: they share its one build.
     return ((phase_output_digests(probe), solver_phase_digests(probe))
             == (phase_output_digests(honest), solver_phase_digests(honest)))
@@ -151,6 +155,11 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
     *worker* overrides the executor's simulation callable (test hook:
     a spy worker proves pruned candidates are never timed); it defaults
     to the local cached executor's.
+
+    The whole call runs in one build scope (:mod:`repro.scope`): its
+    candidates share the meshes, kernel contexts, baseline IR, compiled
+    kernels and assembled solver systems they have in common, and the
+    scope is gone when the call returns or raises.
     """
     # the baseline config first: it checks the inputs before the digest
     # probes, which run on no RunConfig of their own.
@@ -160,8 +169,9 @@ def run_autotune(mesh_dims: tuple[int, int, int] = (4, 3, 3), *,
     params = get_machine(machine)
     model = ScheduleCostModel(params=params, vector_size=vector_size)
 
-    with _obs_span("autotune", cat="autotune", machine=machine,
-                   profile=profile, vector_size=vector_size):
+    with build_scope(), _obs_span("autotune", cat="autotune",
+                                  machine=machine, profile=profile,
+                                  vector_size=vector_size):
         with _obs_span("autotune enumerate", cat="autotune"):
             schedules = enumerate_candidates(params, vector_size, profile)
 

@@ -29,7 +29,7 @@ Optimization levels are cumulative, in paper order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,6 +53,7 @@ from repro.compiler.vectorizer import VecRemark
 from repro.machine.cpu import Machine
 from repro.machine.params import MachineParams
 from repro.metrics.counters import RunCounters
+from repro.scope import shared
 
 #: optimization levels in cumulative paper order.
 OPT_LEVELS = ("scalar", "vanilla", "vec2", "ivec2", "vec1")
@@ -65,6 +66,24 @@ class AssembledSystem:
     pattern: CSRPattern
     amatr: np.ndarray       # CSR values
     rhsid: np.ndarray       # (npoin, ndofn)
+
+
+def _build_context(mesh: Mesh, vector_size: int,
+                   params: Optional[dict[str, float]]) -> tuple:
+    """The CSR pattern, kernel context, padded ``elpos`` and baseline IR
+    of (mesh, VECTOR_SIZE, params): what every rung and pass schedule
+    of one configuration shares (:func:`repro.scope.shared`)."""
+    pattern = build_pattern(mesh)
+    context = MiniAppContext(mesh, vector_size, nnz=pattern.nnz,
+                             params=params)
+    # pad elpos rows for the padded tail (never scattered: the
+    # validity check skips padded elements).
+    pad = context.padded_nelem - mesh.nelem
+    elpos = (np.concatenate([pattern.elpos,
+                             np.repeat(pattern.elpos[-1:], pad, axis=0)])
+             if pad else pattern.elpos)
+    return (pattern, context, elpos,
+            tuple(build_baseline_kernels(context.arrays, vector_size)))
 
 
 class MiniApp:
@@ -89,22 +108,15 @@ class MiniApp:
         if flags is None:
             flags = SCALAR_FLAGS if opt == "scalar" else PAPER_FLAGS
         self.flags = flags
-        self.pattern = build_pattern(mesh)
-        self.context = MiniAppContext(mesh, vector_size, nnz=self.pattern.nnz,
-                                      params=params)
         self.field_seed = field_seed
-        # pad elpos rows for the padded tail (never scattered: the
-        # validity check skips padded elements).
-        pad = self.context.padded_nelem - mesh.nelem
-        self.elpos = (
-            np.concatenate([self.pattern.elpos,
-                            np.repeat(self.pattern.elpos[-1:], pad, axis=0)])
-            if pad else self.pattern.elpos
-        )
+        # the mesh stays alive in the entry (context.mesh), so its id
+        # names no other mesh while the scope holds the entry.
+        self.pattern, self.context, self.elpos, baseline = shared(
+            "context",
+            (id(mesh), vector_size, tuple(sorted((params or {}).items()))),
+            lambda: _build_context(mesh, vector_size, params))
 
-        result = compile_kernels(
-            build_baseline_kernels(self.context.arrays, vector_size),
-            self.flags, pipeline=self.pipeline)
+        result = compile_kernels(baseline, self.flags, pipeline=self.pipeline)
         self.baseline_kernels = result.baseline
         self.kernels = result.kernels
         self.transform_remarks: list[TransformRemark] = result.transform_remarks
@@ -198,20 +210,32 @@ class MiniApp:
 
         Returns ``(workload, b)``: the
         :class:`~repro.cfd.solver_path.SolverWorkload` over the shifted
-        operator, and the x-momentum RHS it solves against.  Cached:
-        the system is a pure function of (mesh, field_seed), and the
+        operator, and the x-momentum RHS it solves against, both
+        read-only.  Cached: the system is a pure function of (context,
+        field_seed), shared by the apps of one build scope, and the
         kernels of (vector_size, pipeline, flags).
         """
-        from repro.cfd.solver_path import SolverWorkload, shift_diagonal
+        from repro.cfd.solver_path import SolverWorkload
 
         if self._solver is None:
-            system = self.run_numeric()
-            shifted = shift_diagonal(self.pattern, system.amatr)
+            shifted, b = shared("system", (self.context, self.field_seed),
+                                self._system)
             workload = SolverWorkload(
                 self.pattern, shifted, self.vector_size, opt=self.opt,
                 flags=self.flags, pipeline=self.pipeline)
-            self._solver = (workload, system.rhsid[:, 0].copy())
+            self._solver = (workload, b)
         return self._solver
+
+    def _system(self) -> tuple[np.ndarray, np.ndarray]:
+        """The assembled operator with its diagonal shifted, and its
+        x-momentum RHS, as read-only arrays."""
+        from repro.cfd.solver_path import shift_diagonal
+
+        system = self.run_numeric()
+        shifted = shift_diagonal(self.pattern, system.amatr)
+        b = system.rhsid[:, 0].copy()
+        shifted.flags.writeable = b.flags.writeable = False
+        return shifted, b
 
     def solve(self, method: str = "bicgstab", *, backend: str | None = None,
               tol: float | None = None, maxiter: int | None = None):

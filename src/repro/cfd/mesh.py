@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cfd.elements import HEX08, NDIME, PNODE
+from repro.scope import shared
 
 
 @dataclass(frozen=True)
@@ -157,3 +158,10 @@ def box_mesh(nx: int, ny: int, nz: int,
     lmate = np.zeros(nelem, dtype=np.int64)
     return Mesh(coord=coord, lnods=lnods, ltype=ltype, lmate=lmate,
                 dims=(nx, ny, nz))
+
+
+def scoped_box_mesh(dims: tuple[int, int, int]) -> Mesh:
+    """The box mesh of *dims*: one per open build scope
+    (:mod:`repro.scope`), a fresh one outside any."""
+    dims = tuple(dims)
+    return shared("mesh", dims, lambda: box_mesh(*dims))

@@ -71,7 +71,6 @@ from repro.compiler.ir import (
     Indirect,
     Kernel,
     Load,
-    Loop,
     Ref,
     Stmt,
     Unary,

@@ -305,12 +305,20 @@ def compile_kernels(kernels, flags, pipeline=None) -> CompileResult:
 
     *pipeline* is a :class:`~repro.compiler.transforms.PassPipeline`
     (``None`` means no transformations -- baseline straight to the
-    vectorizer).  Imports are deferred: this module sits below codegen
-    and the vectorizer in the import graph.
+    vectorizer).  Inside a build scope (:mod:`repro.scope`) a
+    transformed kernel already compiled with equal *flags* is not
+    compiled again: vectorizing and lowering are pure functions of the
+    kernel IR and the flags.  Imports are deferred: this module sits
+    below codegen and the vectorizer in the import graph.
     """
     from repro.compiler.codegen import lower_kernel
     from repro.compiler.transforms import PassPipeline
     from repro.compiler.vectorizer import vectorize_kernel
+    from repro.scope import shared
+
+    def compile_one(kern) -> tuple[tuple, CompiledKernel]:
+        vec = vectorize_kernel(kern, flags)
+        return tuple(vec.remarks), lower_kernel(vec.kernel, flags)
 
     baseline = list(kernels)
     if pipeline is None:
@@ -320,7 +328,8 @@ def compile_kernels(kernels, flags, pipeline=None) -> CompileResult:
                            transform_remarks=transform_remarks,
                            vec_remarks=[])
     for kern in transformed:
-        vec = vectorize_kernel(kern, flags)
-        result.vec_remarks.extend(vec.remarks)
-        result.compiled.append(lower_kernel(vec.kernel, flags))
+        remarks, compiled = shared("compiled", (kern, flags),
+                                   lambda: compile_one(kern))
+        result.vec_remarks.extend(remarks)
+        result.compiled.append(compiled)
     return result

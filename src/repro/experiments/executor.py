@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.experiments.config import (
-    FULL_MESH,
     PLATFORMS,
     VECTOR_SIZES,
     MeshSpec,
@@ -417,9 +416,9 @@ def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig, payload: dict) -
 def build_miniapp(cfg: RunConfig):
     """Construct the compiled mini-app a config describes."""
     from repro.cfd.assembly import MiniApp
-    from repro.cfd.mesh import box_mesh
+    from repro.cfd.mesh import scoped_box_mesh
 
-    return MiniApp(box_mesh(*cfg.mesh_dims), cfg.vector_size, cfg.opt,
+    return MiniApp(scoped_box_mesh(cfg.mesh_dims), cfg.vector_size, cfg.opt,
                    field_seed=cfg.field_seed, passes=cfg.passes)
 
 

@@ -595,16 +595,25 @@ class RunStreams:
         group (*bases*), a row per chunk: the runs of its moving
         segments, and each gather's lines from its element addresses,
         weighted where it is folded.  With the cache off only the
-        gathers are evaluated, for their index checks."""
+        gathers are evaluated, for their index checks.  A gather equal
+        to an earlier one (phase 8's read-modify-write pairs) is
+        evaluated once: it takes the earlier one's lines."""
+        first: dict[_Stream, int] = {}
         for i, stream in enumerate(k.streams):
-            if stream.gathers:
-                fold = _fold(stream)
-                addrs = self._addresses(stream, bases, fold)
+            if not stream.gathers:
+                continue
+            j = first.setdefault(stream, i)
+            if j != i:
                 if self.enabled:
-                    k.rows[i] = dedup_rows(
-                        addresses_to_lines(addrs, self.line_bytes),
-                        None if fold.weights is None
-                        else np.repeat(fold.weights, fold.shape[-1]))
+                    k.rows[i] = k.rows[j]
+                continue
+            fold = _fold(stream)
+            addrs = self._addresses(stream, bases, fold)
+            if self.enabled:
+                k.rows[i] = dedup_rows(
+                    addresses_to_lines(addrs, self.line_bytes),
+                    None if fold.weights is None
+                    else np.repeat(fold.weights, fold.shape[-1]))
         if self.enabled and k.moving.size:
             k.runs = _runs(k.moves, bases, self._shift)
 

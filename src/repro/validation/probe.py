@@ -58,9 +58,9 @@ class Probe:
         """The compiled mini-app this probe validates (imports deferred:
         validation sits above cfd in the layer diagram)."""
         from repro.cfd.assembly import MiniApp
-        from repro.cfd.mesh import box_mesh
+        from repro.cfd.mesh import scoped_box_mesh
 
-        return MiniApp(box_mesh(*self.mesh_dims), self.vector_size,
+        return MiniApp(scoped_box_mesh(self.mesh_dims), self.vector_size,
                        self.opt, field_seed=self.field_seed,
                        passes=self.passes)
 

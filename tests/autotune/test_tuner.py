@@ -127,8 +127,9 @@ def test_validate_schedule_rejects_nothing_legal():
 
 def test_validation_builds_each_probe_app_once(monkeypatch):
     """The assembly and the solver digest ladders of a probe share one
-    build: validating three schedules builds the three candidates' apps
-    and the honest baseline's, once each, and holds none afterwards."""
+    build, and the empty schedule is the honest probe: validating three
+    schedules builds the honest baseline's app and the two other
+    candidates', once each, and holds none afterwards."""
     for memo in (digests._honest_digests, digests._honest_solver_digests):
         memo.cache_clear()
     built = Counter()
@@ -139,11 +140,16 @@ def test_validation_builds_each_probe_app_once(monkeypatch):
         return build(probe)
 
     monkeypatch.setattr(Probe, "build_app", counted)
-    schedules = [(), ("const-trip-count",),
-                 ("const-trip-count", "loop-interchange", "loop-fission")]
-    for schedule in schedules:
+    schedules = [
+        (),
+        ("const-trip-count",),
+        ("const-trip-count", "loop-interchange", "loop-fission"),
+    ]
+    assert validate_schedule((), vector_size=16)
+    assert built == Counter({Probe(vector_size=16): 1})
+    for schedule in schedules[1:]:
         assert validate_schedule(schedule, vector_size=16)
-    assert len(built) == len(schedules) + 1
+    assert len(built) == len(schedules)
     assert set(built.values()) == {1}
     assert not digests._handoff
 

@@ -19,7 +19,6 @@ from repro.compiler.ir import (
     Param,
     Ref,
     Unary,
-    const_idx,
     var,
 )
 from repro.compiler.program import KernelInstance

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler.ir import Affine, Array, Indirect, Ref, const_idx, var
 from repro.compiler.program import (
-    AccessDesc,
     ArrayBinding,
     KernelInstance,
     MemoryLayout,
