@@ -23,7 +23,7 @@ The package simulates the paper's entire stack in Python:
   figure of the evaluation;
 * :mod:`repro.backends` -- pluggable kernel execution: the
   ``"interpreter"`` semantics oracle and the default ``"numpy"``
-  whole-array lowering, byte-identical and ~10x faster (``get_backend``,
+  whole-array lowering, byte-identical and ~25x faster (``get_backend``,
   ``BACKENDS``, every ``backend=`` keyword and ``--backend`` flag);
 * :mod:`repro.validation` -- counter invariants + golden-reference
   cross-checks (``execute_plan(validate=True)``, ``--validate``),

@@ -9,9 +9,16 @@ instead of one element at a time:
   trailing axis (``ivect`` chunk loops, strip-mined ``ivect_strip`` /
   ``ivect`` pairs, unrolled ``inode``/``idime`` nests, gauss loops
   without scratch reuse);
-* affine index maps evaluate to integer index arrays over the grid
+* a gather-free reference is a strided **view** of its array: each
+  grid axis gets the byte stride of its var's affine coefficients (0 on
+  an axis the reference does not read), laid out once per plan
+  (:class:`View`), so a run binds only the sequential loop vars and the
+  chunk base;
+* ``Indirect`` gathers, and the references no view serves (masked
+  stores, the fully sequential path, an index outside the array),
+  evaluate integer index arrays over the grid
   (:func:`repro.compiler.program.eval_index`, shared with the machine
-  model's address streams), ``Indirect`` gathers become fancy indexing;
+  model's address streams) and use fancy indexing;
 * ``If`` guards become boolean masks ANDed down the statement tree;
 * loops the analysis refuses (e.g. the gauss loops of phases 3/6/7,
   whose bodies reuse ``xjacm``/``gpaux`` scratch across iterations) stay
@@ -21,14 +28,33 @@ instead of one element at a time:
 double arithmetic is identical between Python floats and ``np.float64``
 -- the only way a whole-array execution can diverge from the oracle is
 by *reordering* floating-point accumulation.  So the plan never uses
-axis reductions (``np.sum``'s pairwise summation would re-associate);
-scatter-accumulates lower to ``np.ufunc.at`` over indices flattened in
-iteration order (grid axes are outermost-first, so a C-order ravel *is*
-loop order), which applies duplicate-index additions one at a time in
-exactly the interpreter's sequence.  The legality rules below refuse
-any loop whose vectorization could reorder reads relative to writes or
-interleave statements on a shared location; everything else is provably
-order-preserving.  The frozen fixture in
+axis reductions (``np.sum``'s pairwise summation would re-associate).
+Grid axes are outermost-first, so a C-order ravel of the grid *is* loop
+order, and every accumulate replays it per location:
+
+* a **duplicate-free** (``unique``) store touches each location once,
+  so a view store (``view[...] = vals`` / ``view += vals``) does what
+  fancy indexing did.  A view reads and writes the very elements fancy
+  indexing would, and only when it provably may: the data is the
+  C-contiguous array the layout was made for, and every index lies in
+  ``[0, size)`` (outside it fancy indexing raises ``IndexError`` or
+  wraps a negative index, so the plan keeps it there);
+* an **ordered fold** is an accumulate whose store reads only vars it
+  resolves, so the axes it reads pin each location to one of their
+  points and the additions to a location are the points of the axes it
+  does not read, in C order.  Those axes become one leading axis, the
+  target's current values its first row, and one ``np.add.accumulate``
+  (strictly left to right) runs down it: per location, the same values
+  added in the same order as the interpreter;
+* every other accumulate lowers to ``np.add.at`` over indices flattened
+  in loop order, which applies duplicate-index additions one at a time
+  in exactly the interpreter's sequence.
+
+The legality rules below refuse any loop whose vectorization could
+reorder reads relative to writes or interleave statements on a shared
+location; everything else is provably order-preserving.  No array is
+both loaded and stored under a vectorized loop, so a view never aliases
+the store it feeds.  The frozen fixture in
 ``tests/fixtures/backend_equivalence.json`` pins the result.
 
 The rules rest on *resolution*: a store resolves a loop var when one of
@@ -49,8 +75,9 @@ belongs to one lane.  Two rules decide it (see :func:`_resolves`):
   injective, so it resolves all of them together.  StripMine's
   ``S*ivect_strip + ivect`` (``0 <= ivect < S``) is the case that
   matters: strip-mined nests join the grid like the loop they split,
-  and since the grid flattens outermost-first, ``np.add.at`` still
-  replays accumulations in the strip-major, element-minor loop order.
+  a view's axis strides add up to the flat index's, and since the grid
+  flattens outermost-first, folds and ``np.add.at`` still replay
+  accumulations in the strip-major, element-minor loop order.
 
 Known (documented) divergence: the interpreter raises Python's
 ``ZeroDivisionError`` / ``math`` domain errors where NumPy produces
@@ -61,7 +88,7 @@ hits either on valid data; the golden checks would catch it if one did.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -116,19 +143,129 @@ _UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt}
 
 
 @dataclass(frozen=True)
+class View:
+    """Where one gather-free reference lies on the grid.
+
+    ``shape``/``strides`` give each grid axis its extent and byte stride
+    in the array (length 1 and stride 0 on an axis the reference does
+    not read); ``offset`` is the byte offset of the grid origin from the
+    dims whose index is constant.  Every dim that also reads sequential
+    loop vars or index constants (the chunk base) is one
+    ``(const, terms, lo, hi, stride)`` entry of ``dims``: its base index
+    ``const + sum(coef * value)`` must lie in ``[lo, hi]`` for every
+    grid point to stay inside ``[0, size)``.  ``array_shape`` and
+    ``array_strides`` are the C-contiguous data the layout was made for.
+    """
+
+    shape: tuple[int, ...]
+    strides: tuple[int, ...]
+    offset: int
+    dims: tuple[tuple[int, tuple[tuple[str, int], ...], int, int, int], ...]
+    array_shape: tuple[int, ...]
+    array_strides: tuple[int, ...]
+
+    def at(self, data: np.ndarray, env: Mapping,
+           consts: Mapping[str, int]) -> Optional[np.ndarray]:
+        """The view of *data* at the current sequential vars, or None
+        when it could behave differently from fancy indexing: data of
+        another shape or not C-contiguous, an unbound var, or an index
+        outside ``[0, size)`` (fancy indexing raises or wraps)."""
+        if (data.shape != self.array_shape
+                or data.strides != self.array_strides):
+            return None
+        offset = self.offset
+        for const, terms, lo, hi, stride in self.dims:
+            base = const
+            for u, c in terms:
+                value = env[u] if u in env else consts.get(u)
+                if value is None:
+                    return None
+                base += c * value
+            if not lo <= base <= hi:
+                return None
+            offset += base * stride
+        return np.ndarray(self.shape, data.dtype, data, offset, self.strides)
+
+
+def _view(ref: Ref, grid: Mapping[str, int]) -> Optional[View]:
+    """The layout of gather-free *ref* over *grid* (its axes' vars to
+    extents, outermost first); None for a gather, or when some dim's
+    index leaves ``[0, size)`` at every instant."""
+    if ref.has_indirect():
+        return None
+    array_strides = [ref.array.itemsize]
+    for size in reversed(ref.array.shape[1:]):
+        array_strides.insert(0, array_strides[0] * size)
+    array_strides = tuple(array_strides)
+    axis = {v: a for a, v in enumerate(grid)}
+    shape, strides = [1] * len(grid), [0] * len(grid)
+    offset, dims = 0, []
+    for e, size, stride in zip(ref.idx, ref.array.shape, array_strides):
+        # the grid terms move the index within [base + down, base + up]
+        down = up = 0
+        terms = []
+        for u, c in e.terms:
+            if not c:
+                continue
+            if u in grid:
+                shape[axis[u]] = grid[u]
+                strides[axis[u]] += c * stride
+                span = c * (grid[u] - 1)
+                down, up = down + min(0, span), up + max(0, span)
+            else:
+                terms.append((u, c))
+        if terms:
+            dims.append((e.const, tuple(terms), -down, size - 1 - up, stride))
+        elif -down <= e.const <= size - 1 - up:
+            offset += e.const * stride
+        else:
+            return None
+    return View(tuple(shape), tuple(strides), offset, tuple(dims),
+                ref.array.shape, array_strides)
+
+
+def _load_views(exprs, grid: Mapping[str, int]) -> dict[int, View]:
+    """Layouts of the gather-free loads in *exprs*, keyed by ``id()`` of
+    each :class:`Load` node (the plan node keeps them alive)."""
+    out: dict[int, View] = {}
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Load):
+            view = _view(e.ref, grid)
+            if view is not None:
+                out[id(e)] = view
+        elif isinstance(e, BinOp):
+            stack += (e.lhs, e.rhs)
+        elif isinstance(e, Unary):
+            stack.append(e.x)
+    return out
+
+
+@dataclass(frozen=True)
 class PlanAssign:
     stmt: Assign
     #: True when the store's index tuple is provably duplicate-free over
     #: the vectorized grid (every vectorized loop var is *resolved* by
-    #: some affine dim); accumulates may then use buffered fancy ``+=``
-    #: instead of the much slower ordered ``np.add.at``.
+    #: some affine dim): each location is written once.
     unique: bool
+    #: the store's layout over the grid axes it reads, when it may write
+    #: through it: an unmasked gather-free store that is ``unique`` or
+    #: an ordered fold.
+    view: Optional[View] = None
+    #: an ordered fold's axis order: the grid axes the store does not
+    #: read (outermost first), then the ones it does.  Empty otherwise.
+    fold: tuple[int, ...] = ()
+    #: layouts of the gather-free loads of the expression on the grid.
+    loads: Mapping[int, View] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
 class PlanIf:
     stmt: If
     body: tuple["PlanNode", ...]
+    #: layouts of the gather-free loads of the condition on the grid.
+    loads: Mapping[int, View] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -243,8 +380,8 @@ class _Planner:
        per-location order is inherited from the remaining vars), or is
        an accumulate whose nested loops are all themselves vectorizable
        -- then the whole sub-nest flattens to one grid and the ordered
-       ``np.add.at`` replays the interpreter's accumulation sequence
-       exactly.  A non-resolving *plain* store could drop "last write
+       fold or ``np.add.at`` replays the interpreter's accumulation
+       sequence exactly.  A non-resolving *plain* store could drop "last write
        wins" semantics, so it refuses the loop outright.
     """
 
@@ -253,26 +390,56 @@ class _Planner:
         self._verdicts: dict[int, bool] = {}
 
     def plan(self) -> tuple[PlanNode, ...]:
-        return tuple(self._plan_stmt(s, {}) for s in self.kernel.body)
+        return tuple(self._plan_stmt(s, {}, False) for s in self.kernel.body)
 
     # -- plan construction -------------------------------------------------
 
-    def _plan_stmt(self, s: Stmt, vec_stack: Mapping[str, int]) -> PlanNode:
+    def _plan_stmt(self, s: Stmt, vec_stack: Mapping[str, int],
+                   masked: bool) -> PlanNode:
         """*vec_stack* maps the vectorized loop vars around *s* to
-        their extents: the vars that vary across the grid."""
+        their extents: the vars that vary across the grid, which are
+        its axes, outermost first.  *masked* is True under an ``If`` on
+        the grid."""
         if isinstance(s, Assign):
-            unique = all(_resolves(s.ref, v, vec_stack) for v in vec_stack)
-            return PlanAssign(s, unique)
+            return self._plan_assign(s, vec_stack, masked)
         if isinstance(s, If):
-            return PlanIf(s, tuple(self._plan_stmt(b, vec_stack)
-                                   for b in s.body))
+            inner_masked = masked or bool(vec_stack)
+            return PlanIf(s, tuple(self._plan_stmt(b, vec_stack, inner_masked)
+                                   for b in s.body),
+                          _load_views((s.cond.lhs, s.cond.rhs), vec_stack)
+                          if vec_stack else {})
         if isinstance(s, Loop):
             vec = self._vectorizable(s)
             inner = ({**vec_stack, s.var: s.extent.value} if vec
                      else vec_stack)
-            return PlanLoop(s, vec, tuple(self._plan_stmt(b, inner)
+            return PlanLoop(s, vec, tuple(self._plan_stmt(b, inner, masked)
                                           for b in s.body))
         raise TypeError(f"cannot plan {s!r}")  # pragma: no cover
+
+    def _plan_assign(self, s: Assign, vec_stack: Mapping[str, int],
+                     masked: bool) -> PlanAssign:
+        unique = all(_resolves(s.ref, v, vec_stack) for v in vec_stack)
+        if not vec_stack:
+            return PlanAssign(s, unique)
+        loads = _load_views((s.expr,), vec_stack)
+        read = {u for e in s.ref.idx if isinstance(e, Affine)
+                for u, c in e.terms if c}
+        # an ordered fold: the axes the store reads pin each location to
+        # one of their points, so the flattened grid visits a location's
+        # additions in the C order of the axes it does not read.
+        ordered = (s.accumulate and not unique
+                   and all(_resolves(s.ref, v, vec_stack)
+                           for v in vec_stack if v in read))
+        view = (None if masked or not (unique or ordered) else
+                _view(s.ref, {v: n for v, n in vec_stack.items()
+                              if v in read}))
+        if view is None:
+            return PlanAssign(s, unique, loads=loads)
+        axes = list(vec_stack)
+        fold = (tuple(a for a, v in enumerate(axes) if v not in read)
+                + tuple(a for a, v in enumerate(axes) if v in read)
+                if ordered else ())
+        return PlanAssign(s, unique, view, fold, loads)
 
     # -- legality ----------------------------------------------------------
 
@@ -374,7 +541,8 @@ class NumpyExecutor:
 
     # -- values ------------------------------------------------------------
 
-    def _eval(self, expr: Expr, env: dict) -> "np.ndarray | float":
+    def _eval(self, expr: Expr, env: dict,
+              loads: Mapping[int, View]) -> "np.ndarray | float":
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Param):
@@ -385,26 +553,49 @@ class NumpyExecutor:
                     f"parameter {expr.name!r} not provided") from None
         if isinstance(expr, Load):
             data = self.instance.data(expr.ref.array.name)
+            layout = loads.get(id(expr))
+            if layout is not None:
+                view = layout.at(data, env, self.instance.index_consts)
+                if view is not None:
+                    return view
             idx = tuple(eval_index(e, env, self.instance)
                         for e in expr.ref.idx)
             return data[idx]
         if isinstance(expr, BinOp):
-            return _BINOPS[expr.op](self._eval(expr.lhs, env),
-                                    self._eval(expr.rhs, env))
+            return _BINOPS[expr.op](self._eval(expr.lhs, env, loads),
+                                    self._eval(expr.rhs, env, loads))
         if isinstance(expr, Unary):
-            return _UNARY[expr.op](self._eval(expr.x, env))
+            return _UNARY[expr.op](self._eval(expr.x, env, loads))
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
 
-    def _cond(self, cond: Cond, env: dict) -> "np.ndarray | np.bool_":
-        return _COMPARES[cond.op](self._eval(cond.lhs, env),
-                                  self._eval(cond.rhs, env))
+    def _cond(self, cond: Cond, env: dict,
+              loads: Mapping[int, View]) -> "np.ndarray | np.bool_":
+        return _COMPARES[cond.op](self._eval(cond.lhs, env, loads),
+                                  self._eval(cond.rhs, env, loads))
 
     # -- statements --------------------------------------------------------
 
     def _assign(self, node: PlanAssign, env: dict, mask, shape) -> None:
         stmt = node.stmt
         data = self.instance.ensure_data(stmt.ref.array)
-        val = self._eval(stmt.expr, env)
+        val = self._eval(stmt.expr, env, node.loads)
+        if node.view is not None:
+            vals = np.asarray(val)
+            view = (node.view.at(data, env, self.instance.index_consts)
+                    if vals.dtype == data.dtype else None)
+            if view is not None:
+                if not stmt.accumulate:
+                    view[...] = vals
+                elif not node.fold:
+                    view += vals
+                else:
+                    # the additions to each location, in loop order, as
+                    # rows after its current value: one ordered fold.
+                    rows = (np.broadcast_to(vals, shape).transpose(node.fold)
+                            .reshape((-1,) + view.shape))
+                    view[...] = np.add.accumulate(
+                        np.concatenate((view[None], rows)), axis=0)[-1]
+                return
         idx = tuple(eval_index(e, env, self.instance) for e in stmt.ref.idx)
         if shape == ():
             # fully sequential context: plain element update.
@@ -435,7 +626,8 @@ class NumpyExecutor:
         if isinstance(node, PlanAssign):
             self._assign(node, env, mask, shape)
         elif isinstance(node, PlanIf):
-            cond = np.asarray(self._cond(node.stmt.cond, env), dtype=bool)
+            cond = np.asarray(self._cond(node.stmt.cond, env, node.loads),
+                              dtype=bool)
             if shape == ():
                 if cond:
                     for b in node.body:

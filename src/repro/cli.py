@@ -92,7 +92,7 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
                    default=DEFAULT_BACKEND,
                    help="kernel execution backend for semantic paths "
                         "(golden checks, digest ladders); results are "
-                        "byte-identical, numpy is ~10x faster")
+                        "byte-identical, numpy is ~25x faster")
 
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:

@@ -56,11 +56,6 @@ class BodyCost:
     fp_ops: int = 0        # after FMA contraction
     long_ops: int = 0      # div / sqrt
 
-    @property
-    def mem_ops(self) -> int:
-        return (self.unit_loads + self.strided_loads + self.indexed_loads
-                + self.unit_stores + self.strided_stores + self.indexed_stores)
-
 
 @dataclass(frozen=True)
 class VecRemark:

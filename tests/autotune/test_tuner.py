@@ -102,6 +102,20 @@ def test_small_run_rediscovers_vec1(small_report):
         assert bases <= set(VEC1_PASSES)
 
 
+@pytest.mark.parametrize("machine,profile", [("riscv_vec", "standard"),
+                                             ("sx_aurora", "smoke"),
+                                             ("mn4_avx512", "smoke")])
+def test_tiny_preset_rediscovers_vec1(machine, profile, tmp_path):
+    """README's claim on ``repro autotune --preset tiny``: the VEC1-family
+    verdict holds at every strip size (the standard profile validates
+    every legal one, masked tails included) and on the other two
+    presets."""
+    rep = run_autotune((4, 4, 4), machine=machine, profile=profile,
+                       cache_dir=tmp_path / "cache")
+    fam = rep.to_dict()["vec1_family"]
+    assert fam["rediscovered"] is True, fam
+
+
 def test_winner_table_renders(small_report):
     md = small_report.winner_table_markdown()
     assert "| phase |" in md

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend, plan_kernel
-from repro.backends.numpy_backend import NumpyExecutor, PlanIf, PlanLoop
+from repro.backends.numpy_backend import (
+    NumpyExecutor,
+    PlanAssign,
+    PlanIf,
+    PlanLoop,
+)
 from repro.compiler.interpreter import Interpreter
 from repro.compiler.ir import (
     Affine,
@@ -26,6 +31,7 @@ from repro.compiler.ir import (
     Load,
     Loop,
     Ref,
+    Unary,
     var,
     walk_loops,
 )
@@ -340,3 +346,204 @@ def test_rung_phase_arrays_byte_identical(opt):
     assert [(p, n) for p, n, _ in ref] == [(p, n) for p, n, _ in got]
     for (phase, name, want), (_, _, have) in zip(ref, got):
         assert want == have, f"phase {phase} array {name!r} diverged"
+
+
+# -- strided views and ordered accumulate folds --------------------------
+
+
+def _cancelling(shape, seed):
+    """A shuffled mix of 1e16, 1.0 and -1e16 in equal parts: the large
+    terms cancel, so any reordering of their sums shows as byte
+    drift."""
+    mix = np.resize([1e16, 1.0, -1e16], int(np.prod(shape)))
+    return np.random.default_rng(seed).permutation(mix).reshape(shape)
+
+
+def _order_matters(rows) -> bool:
+    """True if the rows' loop-order sums differ somewhere from their sums
+    backwards, and somewhere from their pairwise ``np.add.reduce``."""
+    rows = [list(row) for row in rows]
+    ordered = [sum(row) for row in rows]
+    return (ordered != [sum(row[::-1]) for row in rows]
+            and ordered != [np.add.reduce(row) for row in rows])
+
+
+def _assign_nodes(nodes):
+    for node in nodes:
+        if isinstance(node, (PlanLoop, PlanIf)):
+            yield from _assign_nodes(node.body)
+        else:
+            yield node
+
+
+def test_240_lane_reduction_folds_in_loop_order():
+    """``s(0) += x(i)*y(i)`` over 240 lanes: the store reads no grid
+    axis, so all 240 additions land on one location, folded in loop
+    order after its current value."""
+    x, y, s = Array("x", (240,)), Array("y", (240,)), Array("s", (1,))
+    k = Kernel("k", 10, (loop([
+        Assign(Ref(s, (Affine((), 0),)),
+               BinOp("mul", Load(Ref(x, (var("i"),))),
+                     Load(Ref(y, (var("i"),)))), accumulate=True),
+    ], n=240),))
+    (node,) = _assign_nodes(plan_kernel(k))
+    assert not node.unique and node.fold == (0,) and node.view.shape == ()
+    terms = _cancelling(240, 3)
+    ys = np.random.default_rng(2).choice([1.0, -1.0], 240)
+    assert _order_matters([[1.0, *terms]])
+    interp, vec = run_both(k, s=[1.0], x=terms * ys, y=ys)
+    assert_identical(interp, vec, "s")
+
+
+def test_outer_unread_axis_folds_per_location():
+    """Phase 4's shape, ``g(i,d) += w(n)*e(i,n,d)`` with the ``n`` loop
+    outermost: each location's additions run over ``n`` in order."""
+    g, w, e = Array("g", (240, 3)), Array("w", (8,)), Array("e", (240, 8, 3))
+    k = Kernel("k", 4, (loop([loop([loop([
+        Assign(Ref(g, (var("i"), var("d"))),
+               BinOp("mul", Load(Ref(w, (var("n"),))),
+                     Load(Ref(e, (var("i"), var("n"), var("d"))))),
+               accumulate=True),
+    ], n=240, v="i")], n=3, v="d")], n=8, v="n"),))
+    (node,) = _assign_nodes(plan_kernel(k))
+    assert node.fold == (0, 1, 2) and node.view.shape == (3, 240)
+    gs, es = _cancelling((240, 3), 3), _cancelling((240, 8, 3), 4)
+    assert _order_matters(np.concatenate((gs[:, None], es), axis=1)
+                          .transpose(0, 2, 1).reshape(-1, 9))
+    interp, vec = run_both(k, g=gs, w=np.ones(8), e=es)
+    assert_identical(interp, vec, "g")
+
+
+def test_strip_mined_load_store_and_fold_take_views():
+    """``40*strip + i`` over 6 strips: a copy's load and store and a
+    dot's ordered accumulate all go through views."""
+    x, y, w = Array("x", (240,)), Array("y", (240,)), Array("w", (240,))
+    s = Array("s", (1,))
+    flat = Affine((("strip", 40), ("i", 1)))
+    k = Kernel("k", 10, (loop([loop([
+        Assign(Ref(y, (flat,)), Load(Ref(x, (flat,)))),
+        Assign(Ref(s, (Affine((), 0),)),
+               BinOp("mul", Load(Ref(x, (flat,))),
+                     Load(Ref(w, (flat,)))), accumulate=True),
+    ], n=40, v="i")], n=6, v="strip"),))
+    copy, dot = _assign_nodes(plan_kernel(k))
+    assert copy.unique and copy.view.shape == (6, 40) and not copy.fold
+    assert len(copy.loads) == 1
+    assert dot.fold == (0, 1) and len(dot.loads) == 2
+    xs = _cancelling(240, 7)
+    assert _order_matters([[1.0, *xs]])
+    interp, vec = run_both(k, x=xs, y=np.zeros(240), w=np.ones(240),
+                           s=[1.0])
+    assert_identical(interp, vec, "y", "s")
+
+
+def test_negative_coefficient_views():
+    """``a(7-i) += b(7-i)`` and ``s(0) += b(7-i)``: negative strides,
+    as a unique store, a load and a fold."""
+    rev = Affine((("i", -1),), 7)
+    s = Array("s", (1,))
+    k = Kernel("k", 1, (loop([
+        Assign(Ref(A, (rev,)), Load(Ref(B, (rev,))), accumulate=True),
+        Assign(Ref(s, (Affine((), 0),)), Load(Ref(B, (rev,))),
+               accumulate=True),
+    ]),))
+    store, fold = _assign_nodes(plan_kernel(k))
+    assert store.view.strides == (-8,) and fold.fold == (0,)
+    bs = _cancelling(8, 2)
+    assert _order_matters([[1.0, *bs[::-1]]])
+    interp, vec = run_both(k, a=_cancelling(8, 7), b=bs, s=[1.0])
+    assert_identical(interp, vec, "a", "s")
+
+
+def _shifted_copy(shift: Affine) -> Kernel:
+    """``a(i) = b(i + shift)`` over 8 lanes."""
+    idx = Affine((("i", 1), *shift.terms), shift.const)
+    return Kernel("k", 1, (loop([
+        Assign(Ref(A, (var("i"),)), Load(Ref(B, (idx,)))),
+    ]),))
+
+
+def _run_at(executor, kernel, consts, **arrays):
+    inst = make_instance(**{k: np.array(v) for k, v in arrays.items()})
+    inst.index_consts.update(consts)
+    executor(inst).run(kernel)
+    return inst
+
+
+@pytest.mark.parametrize("shift,consts", [(Affine((), 1), {}),
+                                          (var("base"), {"base": 1})],
+                         ids=["constant", "index-constant"])
+def test_index_past_the_end_raises_like_the_interpreter(shift, consts):
+    """An index past the end keeps fancy indexing's IndexError, whether
+    the plan sees it (a constant) or only the run (the chunk base)."""
+    k = _shifted_copy(shift)
+    (node,) = _assign_nodes(plan_kernel(k))
+    assert bool(node.loads) == bool(consts)
+    for executor in (Interpreter, NumpyExecutor):
+        with pytest.raises(IndexError):
+            _run_at(executor, k, consts, a=np.zeros(8), b=np.arange(8.0))
+
+
+@pytest.mark.parametrize("shift,consts", [(Affine((), -1), {}),
+                                          (var("base"), {"base": -1})],
+                         ids=["constant", "index-constant"])
+def test_negative_index_wraps_like_the_interpreter(shift, consts):
+    """``b(i - 1)`` reads ``b(-1)``, the last element, at ``i = 0``:
+    the wrap-around stays, through fancy indexing."""
+    k = _shifted_copy(shift)
+    (node,) = _assign_nodes(plan_kernel(k))
+    assert bool(node.loads) == bool(consts)
+    interp, vec = (_run_at(executor, k, consts, a=np.zeros(8),
+                           b=np.arange(8.0) + 0.5)
+                   for executor in (Interpreter, NumpyExecutor))
+    assert_identical(interp, vec, "a")
+    assert np.asarray(vec.data("a"))[0] == 7.5
+
+
+def _loads(expr):
+    if isinstance(expr, Load):
+        yield expr
+    elif isinstance(expr, BinOp):
+        yield from _loads(expr.lhs)
+        yield from _loads(expr.rhs)
+    elif isinstance(expr, Unary):
+        yield from _loads(expr.x)
+
+
+def _without_view(nodes, on_grid=False) -> list:
+    """The gather-free references of the unmasked statements and
+    conditions on the grid whose plan node gives them no view."""
+    out = []
+    for node in nodes:
+        if isinstance(node, PlanLoop):
+            out += _without_view(node.body, on_grid or node.vectorize)
+        elif on_grid:
+            if isinstance(node, PlanAssign):
+                exprs, stmt = (node.stmt.expr,), node.stmt
+                if not stmt.ref.has_indirect() and node.view is None:
+                    out.append(stmt.ref)
+            else:
+                exprs = (node.stmt.cond.lhs, node.stmt.cond.rhs)
+            out += [ld.ref for e in exprs for ld in _loads(e)
+                    if not ld.ref.has_indirect() and id(ld) not in node.loads]
+    return out
+
+
+@pytest.mark.parametrize("passes", [None,
+                                    ("const-trip-count", "strip-mine:40")],
+                         ids=["vanilla", "strip-mine-40"])
+def test_probe_grid_references_carry_views(passes):
+    """At the autotuner's VECTOR_SIZE 240, every gather-free reference
+    of an unmasked statement on the grid reads or writes through a
+    view, and the accumulates over unread axes (phase 3's and 4's over
+    ``inode``, the SpMV's over ``jnz``, the dot's over every lane) fold.
+    Fancy indexing everywhere would stay byte-identical, so only this
+    test sees the speed-up go."""
+    app = Probe(vector_size=240, passes=passes).build_app()
+    workload, _ = app.build_solver()
+    folds = set()
+    for kernel in [*app.kernels, *workload.kernels]:
+        plan = plan_kernel(kernel)
+        assert _without_view(plan) == [], kernel.name
+        folds |= {kernel.phase for node in _assign_nodes(plan) if node.fold}
+    assert folds == {3, 4, 9, 10}
