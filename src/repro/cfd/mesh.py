@@ -89,18 +89,6 @@ class Mesh:
     def nmate(self) -> int:
         return int(self.lmate.max()) + 1 if self.nelem else 0
 
-    def element_volume_total(self) -> float:
-        """Total mesh volume via the midpoint Jacobian (sanity metric)."""
-        from repro.cfd.elements import hex08_basis
-
-        basis = hex08_basis()
-        elcod = self.coord[self.lnods]  # (nelem, 8, 3)
-        vol = 0.0
-        for g in range(basis.weigp.size):
-            jac = np.einsum("eai,ja->eij", elcod, basis.deriv[:, :, g])
-            vol += basis.weigp[g] * np.abs(np.linalg.det(jac)).sum()
-        return float(vol)
-
 
 def box_mesh(nx: int, ny: int, nz: int,
              lengths: tuple[float, float, float] = (1.0, 1.0, 1.0),

@@ -4,7 +4,6 @@ from repro.codesign.advisor import (
     Advisor,
     Finding,
     Severity,
-    recommend_next_opt,
     render_findings,
 )
 from repro.codesign.loop import CodesignResult, CodesignStep, run_codesign_loop
@@ -13,7 +12,6 @@ __all__ = [
     "Advisor",
     "Finding",
     "Severity",
-    "recommend_next_opt",
     "render_findings",
     "CodesignResult",
     "CodesignStep",

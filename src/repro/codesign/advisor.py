@@ -208,14 +208,6 @@ class Advisor:
         return self.analyze(app.remarks, run, app.vector_size)
 
 
-#: the paper's optimization ladder: current level -> (next level, category
-#: of the finding that motivates it).
-NEXT_STEP: dict[str, tuple[str, str]] = {
-    "vanilla": ("vec2", "runtime-trip-count"),
-    "vec2": ("ivec2", "low-avl"),
-    "ivec2": ("vec1", "mixed-loop-body"),
-}
-
 #: finding category -> the transformation pass that fixes it (the
 #: executable form of the paper's three lessons learned).
 CATEGORY_PASS: dict[str, type[Pass]] = {
@@ -253,29 +245,6 @@ def recommend_next_pass(findings: list[Finding],
         if cls.name not in applied:
             return cls
     return None
-
-
-def recommend_next_opt(findings: list[Finding], current_opt: str
-                       ) -> Optional[str]:
-    """Map the top actionable finding to the next optimization level.
-
-    Returns ``None`` when the findings no longer motivate a code change
-    (the vec1 end state).
-    """
-    if current_opt not in NEXT_STEP:
-        return None
-    next_opt, expected_category = NEXT_STEP[current_opt]
-    actionable = [f for f in findings
-                  if f.category in ("runtime-trip-count", "low-avl",
-                                    "mixed-loop-body")]
-    if not actionable:
-        return None
-    top = max(actionable, key=lambda f: (f.severity, f.cycles_share))
-    if top.category == expected_category:
-        return next_opt
-    # the ladder is cumulative: any actionable finding still points at
-    # the canonical next step.
-    return next_opt
 
 
 def render_findings(findings: list[Finding]) -> str:

@@ -46,11 +46,6 @@ class CodesignResult:
         return [s.opt for s in self.steps]
 
     @property
-    def pass_sequence(self) -> list[str]:
-        """The passes applied between steps, in application order."""
-        return [s.next_pass for s in self.steps if s.next_pass]
-
-    @property
     def final_speedup(self) -> float:
         return self.steps[-1].speedup_vs_start if self.steps else 1.0
 

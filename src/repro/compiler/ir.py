@@ -108,9 +108,6 @@ class Affine:
     def vars(self) -> set[str]:
         return {v for v, _ in self.terms}
 
-    def shifted(self, const_delta: int) -> "Affine":
-        return Affine(self.terms, self.const + const_delta)
-
 
 @dataclass(frozen=True)
 class Indirect:
@@ -442,13 +439,3 @@ def walk_loops(stmts: tuple[Stmt, ...]) -> Iterator[Loop]:
             yield from walk_loops(s.body)
         elif isinstance(s, If):
             yield from walk_loops(s.body)
-
-
-def innermost_loops(stmts: tuple[Stmt, ...]) -> Iterator[Loop]:
-    """Yield loops that contain no nested loop (vectorization candidates)."""
-    for loop in walk_loops(stmts):
-        if not any(isinstance(b, Loop) for b in loop.body) and not any(
-            isinstance(b, If) and any(isinstance(x, Loop) for x in b.body)
-            for b in loop.body
-        ):
-            yield loop

@@ -26,7 +26,6 @@ Cost-model behaviour reproduced from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.compiler.analysis import Blocker, body_is_pure_copy, check_loop, refs_in_expr
 from repro.compiler.flags import CompilerFlags
@@ -237,16 +236,6 @@ def estimate_speedup(loop: Loop, flags: CompilerFlags) -> float:
 class VectorizationResult:
     kernel: Kernel
     remarks: list[VecRemark]
-
-    def remark_for(self, loop_var: str) -> Optional[VecRemark]:
-        for r in self.remarks:
-            if r.loop_var == loop_var:
-                return r
-        return None
-
-    @property
-    def vectorized_vars(self) -> set[str]:
-        return {r.loop_var for r in self.remarks if r.status == "vectorized"}
 
 
 def vectorize_kernel(kernel: Kernel, flags: CompilerFlags) -> VectorizationResult:

@@ -227,9 +227,6 @@ class ExecutionResult:
     #: [...]}``), populated when ``validate=True``.
     validation: dict[str, dict] = field(default_factory=dict)
 
-    def counters_for(self, cfg: RunConfig) -> RunCounters:
-        return self.runs[cfg.key()]
-
     def invalid_keys(self) -> list[str]:
         """Keys whose validation verdict is not ok."""
         return sorted(k for k, v in self.validation.items() if not v["ok"])

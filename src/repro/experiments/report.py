@@ -56,20 +56,6 @@ def format_heatmap(xs: Sequence, ys: Sequence, values: dict,
     return format_table(rows)
 
 
-def format_barchart(labels: Sequence[str], values: Sequence[float],
-                    width: int = 48, fmt: str = "{:.3g}") -> str:
-    """Horizontal bar chart, one row per label."""
-    if not labels:
-        return ""
-    peak = max(values) if max(values) > 0 else 1.0
-    lw = max(len(str(l)) for l in labels)
-    lines = []
-    for label, v in zip(labels, values):
-        bar = "#" * max(0, int(round(width * v / peak)))
-        lines.append(f"{str(label).ljust(lw)}  {bar} {fmt.format(v)}")
-    return "\n".join(lines)
-
-
 def format_series_barchart(series_obj, width: int = 40) -> str:
     """Render a figures.Series as grouped bars per x value."""
     lines = [series_obj.title, ""]

@@ -64,22 +64,19 @@ def vl_histogram_section(session: Session, machine: str = "riscv_vec",
     a multiple of 40 every bar lands on a Vitruvius fast length; re-run
     with e.g. ``--vs 250`` to watch the mod-40 fraction collapse.
     """
-    from repro.obs.render import mod40_fraction, render_vl_hist
+    from repro.obs.render import mod40_fraction, render_phase_vl_hists
 
     run = session.run(machine=machine, opt=opt, vector_size=vector_size)
+    per_phase = {pid: dict(run.phases[pid].vl_hist)
+                 for pid in run.phase_ids()}
     lines = [f"granted-vl histograms: {machine}, {opt}, "
-             f"VECTOR_SIZE = {vector_size}"]
+             f"VECTOR_SIZE = {vector_size}",
+             render_phase_vl_hists(per_phase)]
     whole: dict[int, float] = {}
-    for pid in run.phase_ids():
-        hist = dict(run.phases[pid].vl_hist)
-        if not hist:
-            continue
+    for hist in per_phase.values():
         for vl, count in hist.items():
             whole[vl] = whole.get(vl, 0) + count
-        lines.append(render_vl_hist(hist, title=f"phase {pid}", width=30))
-    if not whole:
-        lines.append("(no vector instructions)")
-    else:
+    if whole:
         lines.append(
             f"whole run: {100 * mod40_fraction(whole):.0f}% of dynamic "
             f"vector instructions at vl % 40 == 0 (Vitruvius fast lengths)")

@@ -20,14 +20,14 @@ the :class:`~repro.faults.plan.FaultPlan`, and classifies the outcome:
 Alongside the sweep stages, targeted drills corrupt in-memory state
 directly (emulator vector registers, cache accounting, a phase array
 between kernel and golden reference) to exercise the validators the
-sweep path cannot reach.  Two always-on solver drills
-(:data:`~repro.faults.plan.SOLVER_FAULT_KINDS`) put the Krylov path
-under fire: a seeded zeroed operator row that the solver must refuse to
-call converged (with breakdown guards keeping the residual history
-finite), and a seeded torn ELL-gather slot — FLOP-conserving, so only
-the solver phase-output digests and the solver golden check can pin it.  With ``pass_faults=True`` the campaign also
-arms the *compiler-model* faults: one sweep per
-:data:`~repro.faults.plan.PASS_FAULT_KINDS`, where a
+sweep path cannot reach.  Two always-on solver drills put the Krylov
+path under fire: ``nonconverging_krylov``, a seeded zeroed operator row
+that the solver must refuse to call converged (with breakdown guards
+keeping the residual history finite), and ``torn_spmv_gather``, a
+seeded torn ELL-gather slot — FLOP-conserving, so only the solver
+phase-output digests and the solver golden check can pin it.  With
+``pass_faults=True`` the campaign also arms the *compiler-model*
+faults: one sweep per :data:`~repro.faults.plan.PASS_FAULT_KINDS`, where a
 :class:`~repro.faults.injector.PassFaultyWorker` simulates the seeded
 target from kernels tampered by a mis-legalized transformation pass.
 These faults conserve FLOPs by construction, so detection rests on the
@@ -440,11 +440,18 @@ def run_chaos_campaign(seed: int = 0,
             evidence=emu_viol[:3]))
 
         # -- cache drill: impossible miss accounting ----------------------
-        from repro.machine.cache import MemoryHierarchy
+        from repro.machine.cache import (
+            Lines,
+            MemoryHierarchy,
+            addresses_to_lines,
+            dedup_consecutive,
+        )
         from repro.machine.machines import get_machine
 
         hier = MemoryHierarchy(get_machine("riscv_vec").memory)
-        hier.access([np.arange(256, dtype=np.int64) * 8])
+        addrs = np.arange(256, dtype=np.int64) * 8
+        hier.access([Lines(dedup_consecutive(addresses_to_lines(
+            addrs, hier.params.l1.line_bytes)), addrs.size)])
         assert not hier.check_invariants()
         inject_cache_miss_drift(hier.l1, delta=hier.l1.accesses + 1)
         cache_viol = hier.check_invariants()

@@ -211,6 +211,9 @@ def pass_fault_mutator(kind: str) -> Callable[[list], list]:
 # ---------------------------------------------------------------------------
 # Solver-path fault injectors
 # ---------------------------------------------------------------------------
+# One per solver-fault kind, each called by its own solver drill in
+# :func:`repro.faults.chaos.run_chaos_campaign`: ``nonconverging_krylov``
+# and ``torn_spmv_gather``.
 
 
 def inject_nonconverging_krylov(pattern, amatr: np.ndarray,
@@ -255,27 +258,6 @@ def inject_torn_spmv_gather(ellval: np.ndarray, ellcol: np.ndarray,
     new = (old + 1 + rng.randrange(max(nrow - 1, 1))) % max(nrow, 2)
     ellcol[slot, row] = new
     return slot, row, old, new
-
-
-#: every implemented solver-fault kind -> its injector (the solver twin
-#: of :data:`PASS_FAULT_MUTATORS`): the chaos campaign iterates
-#: :data:`repro.faults.plan.SOLVER_FAULT_KINDS` and resolves each kind
-#: here, so a kind in the vocabulary without an injector fails loudly.
-SOLVER_FAULT_INJECTORS: dict[str, Callable] = {
-    "nonconverging_krylov": inject_nonconverging_krylov,
-    "torn_spmv_gather": inject_torn_spmv_gather,
-}
-
-
-def solver_fault_injector(kind: str) -> Callable:
-    """The injector implementing one solver-fault kind; raises
-    ``NotImplementedError`` for a listed-but-unimplemented kind."""
-    try:
-        return SOLVER_FAULT_INJECTORS[kind]
-    except KeyError:
-        raise NotImplementedError(
-            f"solver fault kind {kind!r} has no injector; implemented: "
-            f"{sorted(SOLVER_FAULT_INJECTORS)}") from None
 
 
 # ---------------------------------------------------------------------------

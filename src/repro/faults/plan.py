@@ -49,22 +49,6 @@ PASS_FAULT_RUNGS: dict[str, str] = {
     "mislegalized_fission": "vec1",
 }
 
-#: solver-path fault kinds: each models the Krylov half of the timed
-#: cycle (phases 9-12) going wrong in a way per-run counter invariants
-#: cannot see.  ``nonconverging_krylov`` zeroes a seeded row of the
-#: shifted operator (a singular, inconsistent system — the solver must
-#: stall and *report* it, with breakdown guards keeping the residual
-#: history finite); ``torn_spmv_gather`` re-points one seeded populated
-#: slot of the ELL gather table at the wrong column (FLOP-conserving,
-#: so only the solver phase-output digests can pin it).  Every kind
-#: listed here must have an injector in
-#: :data:`repro.faults.injector.SOLVER_FAULT_INJECTORS`; resolving a
-#: stubbed kind raises instead of being skipped.
-SOLVER_FAULT_KINDS: tuple[str, ...] = (
-    "nonconverging_krylov",
-    "torn_spmv_gather",
-)
-
 
 @dataclass(frozen=True)
 class FaultSpec:

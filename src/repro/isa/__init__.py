@@ -12,7 +12,7 @@ from repro.isa.instructions import (
     VectorKind,
     VSETVL,
 )
-from repro.isa.hierarchy import HierarchyCounts, classify, is_counted_as_vector
+from repro.isa.hierarchy import HierarchyCounts, classify
 from repro.isa.emulator import Instr, VectorEmulator
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "VSETVL",
     "HierarchyCounts",
     "classify",
-    "is_counted_as_vector",
     "Instr",
     "VectorEmulator",
 ]

@@ -34,20 +34,9 @@ def classify(spec: InstrSpec) -> str:
     return spec.vkind.value
 
 
-def is_counted_as_vector(spec: InstrSpec) -> bool:
-    """Whether *spec* contributes to the paper's ``i_v`` count.
-
-    Vector-configuration instructions set up the vector length for
-    subsequent vector instructions but execute on the scalar core; the
-    paper's hierarchy keeps them outside the "Vector" box, so they count
-    toward ``i_t`` but not ``i_v``.
-    """
-    return spec.iclass is InstrClass.VECTOR
-
-
 @dataclass
 class HierarchyCounts:
-    """Instruction counts at every node of the Figure-1 tree."""
+    """Instruction counts at each leaf of the Figure-1 tree."""
 
     scalar: int = 0
     vector_config: int = 0
@@ -55,28 +44,6 @@ class HierarchyCounts:
     memory: int = 0
     control_lane: int = 0
 
-    @property
-    def vector(self) -> int:
-        """Total instructions in the "Vector" box (``i_v``)."""
-        return self.arithmetic + self.memory + self.control_lane
-
-    @property
-    def total(self) -> int:
-        """All instructions (``i_t``)."""
-        return self.scalar + self.vector_config + self.vector
-
     def add(self, spec: InstrSpec, count: int = 1) -> None:
         bucket = classify(spec)
         setattr(self, bucket, getattr(self, bucket) + count)
-
-    def merged(self, other: "HierarchyCounts") -> "HierarchyCounts":
-        return HierarchyCounts(
-            scalar=self.scalar + other.scalar,
-            vector_config=self.vector_config + other.vector_config,
-            arithmetic=self.arithmetic + other.arithmetic,
-            memory=self.memory + other.memory,
-            control_lane=self.control_lane + other.control_lane,
-        )
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in LEAF_BUCKETS}

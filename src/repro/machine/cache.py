@@ -30,10 +30,10 @@ run.
 
 What the hierarchy is fed.  :meth:`MemoryHierarchy.access` takes a run's
 streams in order -- every chunk's kernels, each kernel's streams -- in
-one call, as items that are each either one stream's byte addresses or
-:class:`Lines`: streams their producer already collapsed to
-consecutive-distinct lines, back to back, with the element count each
-stands for and where each one's lines end.  The machine
+one call, as :class:`Lines` items: streams their producer already
+collapsed to consecutive-distinct lines (:func:`addresses_to_lines`,
+then :func:`dedup_consecutive`), back to back, with the element count
+each stands for and where each one's lines end.  The machine
 (:mod:`repro.machine.cpu`) sends one :class:`Lines` per kernel and
 chunk: it builds an affine stream's lines from its address coefficients
 and a gather's from its element addresses (:func:`dedup_rows`, many
@@ -572,24 +572,22 @@ class MemoryHierarchy:
         #: misses-per-kilo-instruction style metrics.
         self.element_accesses = 0
 
-    def access(self, streams: Iterable["np.ndarray | Lines"]) -> Charges:
+    def access(self, streams: Iterable[Lines]) -> Charges:
         """Run access streams through the hierarchy, in order.
 
-        A stream of byte addresses is collapsed to consecutive-distinct
-        cache lines as it arrives and its addresses are dropped; a
-        :class:`Lines` item arrives collapsed, one or many streams.  L1
-        decides the lines in batches as they accumulate, across stream
-        boundaries; L2 decides L1's misses, in order, in its own
-        batches, lagging behind L1.  A level decides a recurring item (a
-        keyed :class:`Lines`) as a unit where it is at least as long as
-        the level, replaying its decisions where they recur (see the
-        module docstring).
+        Each :class:`Lines` item holds one or many streams, already
+        collapsed to consecutive-distinct cache lines (none needed when
+        the hierarchy is off).  L1 decides the lines in batches as they
+        accumulate, across stream boundaries; L2 decides L1's misses, in
+        order, in its own batches, lagging behind L1.  A level decides a
+        recurring item (a keyed :class:`Lines`) as a unit where it is at
+        least as long as the level, replaying its decisions where they
+        recur (see the module docstring).
 
         Returns every stream's :class:`Charges`.  A stream's penalty is
         ``l1_misses * l1.miss_penalty``, plus ``l2_misses *
         l2.miss_penalty`` when there is an L2.
         """
-        line_bytes = self.params.l1.line_bytes
         elements = array("q")
         l1 = _Tally(positions=self.l2 is not None)
         # L2's input is L1's misses: its boundaries are where L1's fall
@@ -599,12 +597,6 @@ class MemoryHierarchy:
         def items():
             end = 0
             for stream in streams:
-                if not isinstance(stream, Lines):
-                    addrs = np.asarray(stream, dtype=np.int64)
-                    stream = Lines(dedup_consecutive(addresses_to_lines(
-                        addrs, line_bytes)) if self.enabled else None,
-                        int(addrs.size))
-                    del addrs  # not held while the caches run
                 # one stream, or many: a count and an end each.
                 elements.frombytes(
                     np.asarray(stream.elements, dtype=np.int64).tobytes())

@@ -88,8 +88,8 @@ order, and a tracer's events are replayed in that order.  The cache
 sees the same lines in the same order as a walk that built every
 chunk's instance and accessed the cache kernel by kernel, so the
 counters, clock and trace are identical to that walk's.
-:meth:`Machine.execute_kernel` on its own is a one-chunk run of one
-kernel.
+:meth:`Machine.execute_program` is the one entry: one kernel over one
+chunk is a program of one kernel with no chunk bases.
 
 Vector length selection follows the RVV vector-length-agnostic model:
 the program asks for the remaining trip count and the machine grants at
@@ -835,28 +835,21 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    def execute_kernel(self, compiled: CompiledKernel, instance: KernelInstance,
-                       run: RunCounters, charges: Optional[Charges] = None
-                       ) -> Optional[np.ndarray]:
+    def execute_kernel(self, compiled: CompiledKernel, run: RunCounters,
+                       charges: Charges) -> np.ndarray:
         """Account one compiled kernel over all of its rows at once.
 
         A row is one (chunk, program position) pair: one run of the
-        kernel in one chunk.  *charges* holds
-        the kernel's streams' :class:`~repro.machine.cache.Charges`, a
-        row each, in run order: ``[rows, streams]`` arrays.  Each float
-        counter of the kernel's phase is folded with
-        ``np.add.accumulate`` over the terms the per-chunk walk adds, in
-        its order; misses and element counts are summed as integers.
-        Returns each row's block deltas (``[rows, blocks]``), the cycles
-        each block added, for :meth:`execute_program` to fold into the
-        clock; *instance* is not read.
-
-        By default the kernel runs alone over *instance* as bound: a
-        program of one kernel over one chunk (:meth:`execute_program`).
+        kernel in one chunk.  *charges* holds the kernel's streams'
+        :class:`~repro.machine.cache.Charges`, a row each, in run order:
+        ``[rows, streams]`` arrays.  Each float counter of the kernel's
+        phase is folded with ``np.add.accumulate`` over the terms the
+        per-chunk walk adds, in its order; misses and element counts are
+        summed as integers.  Returns each row's block deltas (``[rows,
+        blocks]``), the cycles each block added, for
+        :meth:`execute_program` to fold into the clock.  To run a kernel
+        on its own, pass :meth:`execute_program` a program of one.
         """
-        if charges is None:
-            self.execute_program([compiled], instance, run)
-            return None
         account = self._account(compiled)
         counters = run.phase(compiled.phase)
         penalty = charges.penalty
@@ -941,8 +934,7 @@ class Machine:
             mine = Charges(*(a[:, _columns(streams, at, width)].reshape(
                 chunks * len(at), width) for a in grid))
             deltas[:, _columns(blocks, at, len(compiled.blocks))] = (
-                self.execute_kernel(compiled, instance, run, mine).reshape(
-                    chunks, -1))
+                self.execute_kernel(compiled, run, mine).reshape(chunks, -1))
         clock = np.empty(deltas.size + 1)
         clock[0] = self.clock
         clock[1:] = deltas.reshape(-1)

@@ -153,19 +153,10 @@ class MachineParams:
     cores_per_socket: int = 1
 
     @property
-    def has_vpu(self) -> bool:
-        return self.vpu is not None
-
-    @property
     def vl_max(self) -> int:
         if self.vpu is None:
             raise ValueError(f"{self.name} has no vector unit")
         return self.vpu.vl_max
-
-    @property
-    def peak_gflops(self) -> float:
-        """Peak double-precision GFLOPS per core."""
-        return self.peak_flops_per_cycle * self.frequency_mhz / 1e3
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.frequency_mhz * 1e6)

@@ -106,8 +106,3 @@ class VPUModel:
     def config_cycles(self) -> float:
         """Cycles of a vsetvl vector-configuration instruction."""
         return self.params.config_cycles
-
-    def elements_per_cycle(self, spec: InstrSpec, vl: int) -> float:
-        """Throughput in elements/cycle for one instruction (diagnostics)."""
-        cycles = self.instr_cycles(spec, vl)
-        return vl / cycles if cycles else 0.0

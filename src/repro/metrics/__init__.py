@@ -1,6 +1,6 @@
 """Performance metrics (§2.2) and the Table-6 regression analysis."""
 
-from repro.metrics.counters import PhaseCounters, RunCounters, merge_runs
+from repro.metrics.counters import PhaseCounters, RunCounters
 from repro.metrics.metrics import (
     PhaseMetrics,
     avl,
@@ -27,7 +27,6 @@ from repro.metrics.roofline import (
 __all__ = [
     "PhaseCounters",
     "RunCounters",
-    "merge_runs",
     "PhaseMetrics",
     "avl",
     "dcm_per_kiloinstruction",

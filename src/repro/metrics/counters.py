@@ -16,7 +16,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 @dataclass
@@ -134,15 +133,6 @@ class RunCounters:
         return {pid: self.phases[pid].cycles_total / total for pid in self.phase_ids()}
 
 
-def merge_runs(runs: Iterable[RunCounters]) -> RunCounters:
-    """Combine several runs (e.g. repeated timesteps) into one record."""
-    out = RunCounters()
-    for run in runs:
-        for pid, pc in run.phases.items():
-            out.phase(pid).merge(pc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization (the executor's disk-cache and worker wire format).
 # ---------------------------------------------------------------------------
@@ -203,12 +193,3 @@ def counters_to_json(run: RunCounters) -> str:
     """Canonical JSON text: key-sorted so identical counters always
     serialize to identical bytes, whichever process produced them."""
     return json.dumps(counters_to_dict(run), sort_keys=True)
-
-
-def counters_from_json(text: str) -> RunCounters:
-    """Parse :func:`counters_to_json` output (raises ``ValueError`` /
-    ``KeyError`` / ``TypeError`` on malformed payloads)."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise TypeError(f"counter payload must be an object, got {type(data).__name__}")
-    return counters_from_dict(data)

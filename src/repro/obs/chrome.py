@@ -163,10 +163,3 @@ def loads(text: str) -> list[dict]:
 
 def load(path: str | Path) -> list[dict]:
     return loads(Path(path).read_text())
-
-
-def phase_span_names(events: list[dict]) -> list[str]:
-    """Names of the SIM-domain phase spans in an exported event list."""
-    return [e["name"] for e in events
-            if e.get("ph") == "X" and e.get("pid") == PID_SIM
-            and e.get("tid") == 1]

@@ -210,12 +210,6 @@ class Tracer:
             return
         self.instrs.append(InstrEvent(opcode=opcode, vl=vl, vl_max=vl_max))
 
-    def ingest(self, events: list[dict]) -> None:
-        """Absorb raw Chrome trace_event dicts (merged worker traces)."""
-        if not self.enabled:
-            return
-        self.raw_events.extend(events)
-
     # -- machine hook interface (seed trace.Tracer API) ----------------------
 
     def on_block(self, phase: int, label: str, kind: str,
@@ -239,18 +233,8 @@ class Tracer:
 
     # -- views ---------------------------------------------------------------
 
-    def phases(self) -> list[int]:
-        return sorted({b.phase for b in self.blocks})
-
-    def phase_cycles(self, phase: int) -> float:
-        return sum(b.cycles for b in self.blocks if b.phase == phase)
-
     def total_cycles(self) -> float:
         return sum(b.cycles for b in self.blocks)
-
-    def phase_spans(self) -> list[SpanRecord]:
-        """The SIM-domain spans stamped per executed phase kernel."""
-        return [s for s in self.spans if s.domain == SIM and s.phase is not None]
 
     def vl_histogram(self, phase: Optional[int] = None) -> dict[int, int]:
         """AVL distribution {granted vl: dynamic vector instructions},
@@ -267,15 +251,6 @@ class Tracer:
                 if i.opcode != "vsetvl":
                     hist[i.vl] = hist.get(i.vl, 0) + 1
         return hist
-
-    def clear(self) -> None:
-        self.blocks.clear()
-        self.vector_instrs.clear()
-        self.spans.clear()
-        self.points.clear()
-        self.counters.clear()
-        self.instrs.clear()
-        self.raw_events.clear()
 
 
 #: the ambient tracer slot; the default is a shared *disabled* tracer so

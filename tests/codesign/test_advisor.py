@@ -8,7 +8,6 @@ from repro.cfd.mesh import box_mesh
 from repro.codesign import (
     Advisor,
     Severity,
-    recommend_next_opt,
     render_findings,
     run_codesign_loop,
 )
@@ -101,13 +100,6 @@ def test_no_fsm_hint_on_machines_without_quirk(mesh):
     app = MiniApp(mesh, vector_size=256, opt="vec1")
     findings = adv.analyze_miniapp(app)
     assert not any(f.category == "fsm-granularity" for f in findings)
-
-
-def test_recommend_next_opt_ladder(mesh, advisor):
-    assert recommend_next_opt(analyze(mesh, advisor, "vanilla"), "vanilla") == "vec2"
-    assert recommend_next_opt(analyze(mesh, advisor, "vec2"), "vec2") == "ivec2"
-    assert recommend_next_opt(analyze(mesh, advisor, "ivec2"), "ivec2") == "vec1"
-    assert recommend_next_opt(analyze(mesh, advisor, "vec1"), "vec1") is None
 
 
 def test_codesign_loop_reproduces_paper_sequence(mesh):

@@ -20,8 +20,8 @@ def result():
 
 def test_loop_applies_the_papers_pass_sequence(result):
     assert result.sequence == ["vanilla", "vec2", "ivec2", "vec1"]
-    assert result.pass_sequence == ["const-trip-count", "loop-interchange",
-                                    "loop-fission"]
+    assert [s.next_pass for s in result.steps if s.next_pass] == [
+        "const-trip-count", "loop-interchange", "loop-fission"]
 
 
 def test_steps_carry_their_pass_schedules(result):

@@ -19,7 +19,6 @@ from repro.compiler.ir import (
     Ref,
     Unary,
     const_idx,
-    innermost_loops,
     var,
     walk_loops,
 )
@@ -46,7 +45,6 @@ def test_affine_helpers():
     assert e.coef("i") == 2
     assert e.coef("k") == 0
     assert e.vars() == {"i", "j"}
-    assert e.shifted(3).const == 8
     with pytest.raises(ValueError):
         Affine((("i", 1), ("i", 2)))
 
@@ -113,22 +111,16 @@ def _loop(varname, n, body, vectorized=False):
     return Loop(varname, Extent(n), tuple(body), vectorized=vectorized)
 
 
-def test_walk_and_innermost_loops():
+def test_walk_loops():
     a = Array("a", (8, 8))
     inner = _loop("j", 8, [Assign(Ref(a, (var("i"), var("j"))), Const(0.0))])
     outer = _loop("i", 8, [inner])
     loops = list(walk_loops((outer,)))
     assert [l.var for l in loops] == ["i", "j"]
-    assert [l.var for l in innermost_loops((outer,))] == ["j"]
-
-
-def test_innermost_sees_through_if():
-    a = Array("a", (8,))
-    guarded = If(Cond("ne", Const(1.0), Const(0.0)),
-                 (_loop("j", 8, [Assign(Ref(a, (var("j"),)), Const(0.0))]),))
-    outer = _loop("i", 4, [guarded])
-    # the j loop nests inside an If inside i: i is not innermost
-    assert [l.var for l in innermost_loops((outer,))] == ["j"]
+    # a loop nested inside an If is walked too.
+    guarded = If(Cond("ne", Const(1.0), Const(0.0)), (inner,))
+    assert [l.var for l in walk_loops((_loop("i", 4, [guarded]),))] == [
+        "i", "j"]
 
 
 def test_kernel_arrays_collects_indirect_targets():

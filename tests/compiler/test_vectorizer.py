@@ -147,7 +147,8 @@ def test_copy_loop_bypasses_cost_model_even_tiny_trip():
     small = Loop("j", Extent(4), (Assign(Ref(A, (var("j"),)), Load(Ref(B, (var("j"),)))),))
     statuses, res = vec_statuses(kernel([small]))
     assert statuses["j"] == "vectorized"
-    assert "cost model bypassed" in res.remark_for("j").reason
+    (remark,) = res.remarks
+    assert remark.loop_var == "j" and "cost model bypassed" in remark.reason
 
 
 def test_copy_loop_respects_disabled_idiom_flag():
@@ -188,7 +189,8 @@ def test_vectorized_flag_set_in_rewritten_tree():
     res = vectorize_kernel(k, PAPER_FLAGS)
     lp = next(walk_loops(res.kernel.body))
     assert lp.vectorized
-    assert res.vectorized_vars == {"i"}
+    assert [(r.loop_var, r.status) for r in res.remarks] == [
+        ("i", "vectorized")]
 
 
 def test_only_innermost_loops_considered():

@@ -83,8 +83,8 @@ def test_parallel_results_byte_identical_to_serial(tmp_path):
             (tmp_path / "parallel" / name).read_bytes()
 
     for cfg in plan:
-        assert parallel.counters_for(cfg).total_cycles == pytest.approx(
-            serial.counters_for(cfg).total_cycles)
+        assert parallel.runs[cfg.key()].total_cycles == pytest.approx(
+            serial.runs[cfg.key()].total_cycles)
 
 
 # -- caching -----------------------------------------------------------------
@@ -101,8 +101,8 @@ def test_cache_hit_short_circuits_simulation(tmp_path):
     assert second.stats.simulated == 0 and second.stats.cache_hits == 2
     assert {e.kind for e in events} == {"cache_hit"}
     for cfg in plan:
-        assert second.counters_for(cfg).total_cycles == pytest.approx(
-            first.counters_for(cfg).total_cycles)
+        assert second.runs[cfg.key()].total_cycles == pytest.approx(
+            first.runs[cfg.key()].total_cycles)
 
 
 def test_events_carry_queue_depth_and_cache_tallies(tmp_path):
@@ -150,7 +150,7 @@ def test_load_cached_rejects_wrong_schema(tmp_path):
 
 def test_store_cached_roundtrip_and_no_tmp_litter(tmp_path):
     [cfg] = tiny_configs(1)
-    run = execute_plan([cfg], cache_dir=tmp_path / "a", jobs=1).counters_for(cfg)
+    run = execute_plan([cfg], cache_dir=tmp_path / "a", jobs=1).runs[cfg.key()]
     store_payload(tmp_path / "b", cfg, counters_to_dict(run))
     back = load_cached(tmp_path / "b", cfg)
     assert back.total_cycles == pytest.approx(run.total_cycles)

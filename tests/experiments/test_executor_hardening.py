@@ -112,7 +112,7 @@ def test_solve_entry_without_solve_record_is_resimulated(tmp_path):
     corrupt = [ev for ev in events if ev.kind == "cache_corrupt"]
     assert len(corrupt) == 1 and "__solve__" in corrupt[0].error
     assert res.stats.cache_corrupt == 1 and res.stats.simulated == 1
-    assert res.counters_for(solve_cfg).phase_ids() == list(range(1, 13))
+    assert res.runs[solve_cfg.key()].phase_ids() == list(range(1, 13))
     healed = json.loads(cache_path(tmp_path, solve_cfg).read_text())
     assert healed["__solve__"]["converged"]
     assert load_cached(tmp_path, solve_cfg) is not None
@@ -145,7 +145,7 @@ def test_edited_preset_is_resimulated(tmp_path, monkeypatch):
     from repro.machine import machines
     from repro.metrics.counters import counters_to_dict
 
-    old = execute_plan([CFG], cache_dir=tmp_path).counters_for(CFG)
+    old = execute_plan([CFG], cache_dir=tmp_path).runs[CFG.key()]
     preset = machines.MACHINES["riscv_vec"]
     monkeypatch.setitem(machines.MACHINES, "riscv_vec", replace(
         preset, vpu=replace(preset.vpu, strip_stall_cycles=23.0)))
@@ -154,7 +154,7 @@ def test_edited_preset_is_resimulated(tmp_path, monkeypatch):
     assert res.stats.cache_hits == 0 and res.stats.simulated == 1
     [stale] = [ev for ev in events if ev.kind == "cache_corrupt"]
     assert "discarded stale cache entry" in stale.error
-    new = res.counters_for(CFG)
+    new = res.runs[CFG.key()]
     assert new.total_cycles != old.total_cycles
     assert counters_to_dict(new) == counters_to_dict(simulate_run(CFG))
     # the re-simulated entry is stamped for the edited preset.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.report import (
-    format_barchart,
     format_heatmap,
     format_series_barchart,
     format_table,
@@ -36,17 +35,6 @@ def test_heatmap_contains_values_and_shades():
     out = format_heatmap([10, 20], [1, 2], values)
     assert "40.0 @" in out
     assert "10.0" in out
-
-
-def test_barchart_scales_to_peak():
-    out = format_barchart(["a", "b"], [1.0, 2.0], width=10)
-    lines = out.splitlines()
-    assert lines[0].count("#") == 5
-    assert lines[1].count("#") == 10
-
-
-def test_barchart_empty():
-    assert format_barchart([], []) == ""
 
 
 def test_series_barchart_renders_title_and_groups():

@@ -6,7 +6,6 @@ from repro.experiments.config import TINY_MESH, RunConfig
 from repro.faults.plan import (
     PASS_FAULT_KINDS,
     PASS_FAULT_RUNGS,
-    SOLVER_FAULT_KINDS,
     WORKER_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
@@ -108,30 +107,20 @@ def test_spec_is_frozen():
         spec.kind = "hang"
 
 
-# -- solver fault vocabulary -------------------------------------------------
+# -- solver fault kinds ------------------------------------------------------
+
+#: the kinds of the chaos campaign's two solver drills.
+SOLVER_KINDS = ("nonconverging_krylov", "torn_spmv_gather")
 
 
 def test_solver_fault_kinds_generate_deterministically():
-    # the generic generator covers the solver vocabulary too: same
+    # the generic generator covers the solver drills' kinds too: same
     # (seed, keys, kinds) -> same plan, different seeds spread out.
-    a = FaultPlan.generate(0, KEYS, kinds=SOLVER_FAULT_KINDS)
-    b = FaultPlan.generate(0, KEYS, kinds=SOLVER_FAULT_KINDS)
+    a = FaultPlan.generate(0, KEYS, kinds=SOLVER_KINDS)
+    b = FaultPlan.generate(0, KEYS, kinds=SOLVER_KINDS)
     assert a == b
-    assert sorted(s.kind for s in a.specs) == sorted(SOLVER_FAULT_KINDS)
+    assert sorted(s.kind for s in a.specs) == sorted(SOLVER_KINDS)
     assert all(s.target_key in KEYS for s in a.specs)
-    plans = {FaultPlan.generate(s, KEYS, kinds=SOLVER_FAULT_KINDS).specs
+    plans = {FaultPlan.generate(s, KEYS, kinds=SOLVER_KINDS).specs
              for s in range(8)}
     assert len(plans) > 1
-
-
-def test_every_solver_kind_has_an_injector():
-    from repro.faults.injector import (
-        SOLVER_FAULT_INJECTORS,
-        solver_fault_injector,
-    )
-
-    assert set(SOLVER_FAULT_INJECTORS) == set(SOLVER_FAULT_KINDS)
-    for kind in SOLVER_FAULT_KINDS:
-        assert callable(solver_fault_injector(kind))
-    with pytest.raises(NotImplementedError):
-        solver_fault_injector("torn_warp_shuffle")

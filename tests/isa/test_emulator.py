@@ -8,7 +8,6 @@ from repro.isa.emulator import (
     Instr,
     VectorEmulator,
     li,
-    run_strip_mined_axpy,
     vle,
     vlse,
     vlxe,
@@ -18,6 +17,8 @@ from repro.isa.emulator import (
     vsse,
     vsxe,
 )
+
+from . import run_strip_mined_axpy
 
 
 @pytest.fixture
@@ -131,7 +132,6 @@ def test_trace_records_granted_vl(m):
     m.step(vop("vfadd", 2, 1, 1))
     vls = [(r.opcode, r.vl) for r in m.trace]
     assert ("vfmv_v_f", 16) in vls and ("vfadd", 4) in vls
-    assert m.avl_of_trace() == pytest.approx((16 + 4) / 2)
 
 
 # -- the VLA portability theorem, executed -----------------------------------

@@ -6,7 +6,6 @@ import pytest
 from repro.isa.emulator import (
     VectorEmulator,
     li,
-    run_strip_mined_axpy,
     vle,
     vlxe,
     vop,
@@ -15,6 +14,8 @@ from repro.isa.emulator import (
     vsse,
     vsxe,
 )
+
+from . import run_strip_mined_axpy
 
 
 def _machine(vl_max=8, mem_size=128) -> VectorEmulator:

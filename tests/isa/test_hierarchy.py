@@ -6,7 +6,6 @@ from repro.isa.hierarchy import (
     HierarchyCounts,
     LEAF_BUCKETS,
     classify,
-    is_counted_as_vector,
 )
 from repro.isa.instructions import OPCODES, VFMADD, VLE, VMV, VSETVL
 
@@ -25,9 +24,9 @@ def test_every_opcode_classifies_to_a_leaf():
 
 def test_vsetvl_not_counted_in_iv():
     """Vector-configuration instructions count toward i_t, not i_v."""
-    assert not is_counted_as_vector(VSETVL)
-    assert is_counted_as_vector(VFMADD)
-    assert is_counted_as_vector(VMV)
+    assert not VSETVL.is_vector
+    assert VFMADD.is_vector
+    assert VMV.is_vector
 
 
 def test_counts_add_and_totals():
@@ -36,9 +35,8 @@ def test_counts_add_and_totals():
     h.add(VLE, 5)
     h.add(VSETVL, 2)
     h.add(VMV)
-    assert h.vector == 16
-    assert h.total == 18
-    assert h.as_dict()["vector_config"] == 2
+    assert (h.scalar, h.vector_config, h.arithmetic, h.memory,
+            h.control_lane) == (0, 2, 10, 5, 1)
 
 
 _spec_list = st.lists(
@@ -47,24 +45,9 @@ _spec_list = st.lists(
 )
 
 
-@given(_spec_list, _spec_list)
-def test_merged_equals_sum_of_parts(specs_a, specs_b):
-    a, b = HierarchyCounts(), HierarchyCounts()
-    for s in specs_a:
-        a.add(s)
-    for s in specs_b:
-        b.add(s)
-    merged = a.merged(b)
-    assert merged.total == a.total + b.total
-    assert merged.vector == a.vector + b.vector
-    for bucket in LEAF_BUCKETS:
-        assert getattr(merged, bucket) == getattr(a, bucket) + getattr(b, bucket)
-
-
 @given(_spec_list)
 def test_total_partitions_into_buckets(specs):
     h = HierarchyCounts()
     for s in specs:
         h.add(s)
-    assert h.total == sum(h.as_dict().values())
-    assert h.total == len(specs)
+    assert sum(getattr(h, bucket) for bucket in LEAF_BUCKETS) == len(specs)

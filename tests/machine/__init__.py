@@ -1,10 +1,30 @@
 """Tests of the machine model."""
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 from unittest import mock
 
+import numpy as np
+
 from repro.machine import cache as cache_mod
+from repro.machine.cache import (
+    Lines,
+    MemoryHierarchy,
+    addresses_to_lines,
+    dedup_consecutive,
+)
+
+
+def address_lines(hierarchy: MemoryHierarchy,
+                  streams: Iterable[np.ndarray]) -> Iterator[Lines]:
+    """Streams of byte addresses as ``hierarchy.access`` takes them: one
+    :class:`Lines` per stream, its consecutive-distinct L1 lines and its
+    element count."""
+    line_bytes = hierarchy.params.l1.line_bytes
+    for addrs in streams:
+        addrs = np.asarray(addrs, dtype=np.int64)
+        yield Lines(dedup_consecutive(addresses_to_lines(addrs, line_bytes)),
+                    int(addrs.size))
 
 
 def charge_tuples(charges) -> Iterator[tuple[float, int, int, int]]:

@@ -15,7 +15,7 @@ from repro.machine.cache import (
 )
 from repro.machine.params import CacheParams, MemoryParams
 
-from . import charge_tuples
+from . import address_lines, charge_tuples
 
 
 def make_cache(size=1024, line=64, assoc=2, penalty=10.0) -> Cache:
@@ -63,7 +63,7 @@ def test_hierarchy_penalties_and_counts():
     # 4 distinct lines, all cold: 4 L1 misses + 4 L2 misses; then the
     # same lines again: all L1 hits.
     cold, warm = charge_tuples(
-        h.access([np.arange(4) * 64, np.arange(4) * 64]))
+        h.access(address_lines(h, [np.arange(4) * 64, np.arange(4) * 64])))
     assert cold == (4 * 10.0 + 4 * 100.0, 4, 4, 4)
     assert warm == (0.0, 0, 0, 4)
     assert h.l1.misses == 4 and h.l2.misses == 4
@@ -77,9 +77,9 @@ def test_hierarchy_l2_catches_l1_evictions():
     )
     h = MemoryHierarchy(params)
     # L1 is 2 lines direct-mapped; walk 8 lines twice.
-    h.access([np.arange(8) * 64])
+    h.access(address_lines(h, [np.arange(8) * 64]))
     [(penalty, l1_misses, l2_misses, _)] = charge_tuples(
-        h.access([np.arange(8) * 64]))
+        h.access(address_lines(h, [np.arange(8) * 64])))
     # second pass: all L1 misses (capacity) but all L2 hits.
     assert (penalty, l1_misses, l2_misses) == (8 * 10.0, 8, 0)
 
@@ -87,8 +87,8 @@ def test_hierarchy_l2_catches_l1_evictions():
 def test_hierarchy_disabled_costs_nothing():
     params = MemoryParams(l1=CacheParams("L1", 512, assoc=2))
     h = MemoryHierarchy(params, enabled=False)
-    assert list(charge_tuples(h.access([np.arange(100) * 64]))) == [
-        (0.0, 0, 0, 100)]
+    assert list(charge_tuples(h.access(address_lines(
+        h, [np.arange(100) * 64])))) == [(0.0, 0, 0, 100)]
     assert h.l1.accesses == 0 and h.l1.misses == 0
     assert h.element_accesses == 100
 

@@ -39,7 +39,7 @@ from repro.machine.cpu import RunStreams
 from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
 from repro.machine.params import CacheParams, MemoryParams
 
-from . import charge_tuples, recurring_paths
+from . import address_lines, charge_tuples, recurring_paths
 
 
 class OracleLRU:
@@ -226,7 +226,7 @@ def assert_hierarchy_matches(params, calls, enabled=True):
     hier = MemoryHierarchy(params, enabled=enabled)
     oracle = OracleHierarchy(params, enabled=enabled)
     for streams in calls:
-        got = list(charge_tuples(hier.access(iter(streams))))
+        got = list(charge_tuples(hier.access(address_lines(hier, streams))))
         want = [(*oracle.access(s), len(s)) for s in streams]
         # exact: the penalties must be the same doubles, not close ones.
         assert got == want
@@ -302,8 +302,8 @@ def assert_run_matches(params, kernels):
     """One ``access`` call carries every kernel's streams, in order; the
     oracle sees them stream by stream."""
     hier, oracle = MemoryHierarchy(params), OracleHierarchy(params)
-    got = list(charge_tuples(
-        hier.access(s for streams in kernels for s in streams)))
+    got = list(charge_tuples(hier.access(address_lines(
+        hier, (s for streams in kernels for s in streams)))))
     want = [(*oracle.access(s), len(s)) for streams in kernels
             for s in streams]
     assert got == want
@@ -361,8 +361,10 @@ def assert_fold_matches(params, warm, kernel, instance, expanded):
     LRU checks the expanded side."""
     folded, full = MemoryHierarchy(params), MemoryHierarchy(params)
     plan = RunStreams([kernel], instance, None, folded)
-    got = list(charge_tuples(folded.access(chain([warm], plan.run()))))
-    want = list(charge_tuples(full.access([warm, *expanded])))
+    got = list(charge_tuples(folded.access(chain(
+        address_lines(folded, [warm]), plan.run()))))
+    want = list(charge_tuples(full.access(address_lines(
+        full, [warm, *expanded]))))
     assert got == want
     assert folded.element_accesses == full.element_accesses
     for a, b in ((folded.l1, full.l1), (folded.l2, full.l2)):

@@ -55,7 +55,8 @@ def test_scalar_block_cycles_and_instructions(instance):
     inst, a, b = instance
     m = Machine(RISCV_VEC, cache_enabled=False)
     run = RunCounters()
-    m.execute_kernel(CompiledKernel("k", 1, [_scalar_block(a, b)]), inst, run)
+    m.execute_program([CompiledKernel("k", 1, [_scalar_block(a, b)])], inst,
+                      run)
     pc = run.phases[1]
     sp = RISCV_VEC.scalar
     expected = 10 * (sp.cpi_load + 2 * sp.cpi_fp + sp.cpi_store)
@@ -70,7 +71,8 @@ def test_scalar_block_cache_misses_add_penalty(instance):
     inst, a, b = instance
     m = Machine(RISCV_VEC, cache_enabled=True)
     run = RunCounters()
-    m.execute_kernel(CompiledKernel("k", 1, [_scalar_block(a, b, trips=64)]), inst, run)
+    m.execute_program(
+        [CompiledKernel("k", 1, [_scalar_block(a, b, trips=64)])], inst, run)
     pc = run.phases[1]
     # 64 elements x 8 B = 8 lines per array, all cold misses.
     assert pc.l1_misses == 16
@@ -102,7 +104,8 @@ def test_vector_block_counters(instance):
     inst, a, b = instance
     m = Machine(RISCV_VEC, cache_enabled=False)
     run = RunCounters()
-    m.execute_kernel(CompiledKernel("k", 2, [_vector_block(a, b, trip=64)]), inst, run)
+    m.execute_program(
+        [CompiledKernel("k", 2, [_vector_block(a, b, trip=64)])], inst, run)
     pc = run.phases[2]
     assert pc.instr_vector_mem == 2
     assert pc.instr_vector_arith == 1
@@ -125,7 +128,7 @@ def test_vector_block_strip_mining_vla(instance):
     for machine_params, nstrips in ((RISCV_VEC, 2), (MN4_AVX512, 64)):
         m = Machine(machine_params, cache_enabled=False)
         run = RunCounters()
-        m.execute_kernel(CompiledKernel("k", 2, [block]), inst, run)
+        m.execute_program([CompiledKernel("k", 2, [block])], inst, run)
         pc = run.phases[2]
         assert pc.instr_vconfig == nstrips
         assert pc.instr_vector_mem == 2 * nstrips
@@ -136,11 +139,13 @@ def test_vector_block_repeats_scale_everything(instance):
     inst, a, b = instance
     m1 = Machine(RISCV_VEC, cache_enabled=False)
     r1 = RunCounters()
-    m1.execute_kernel(CompiledKernel("k", 2, [_vector_block(a, b, trip=64)]), inst, r1)
+    m1.execute_program(
+        [CompiledKernel("k", 2, [_vector_block(a, b, trip=64)])], inst, r1)
     m8 = Machine(RISCV_VEC, cache_enabled=False)
     r8 = RunCounters()
-    m8.execute_kernel(
-        CompiledKernel("k", 2, [_vector_block(a, b, trip=64, repeats=8)]), inst, r8)
+    m8.execute_program(
+        [CompiledKernel("k", 2, [_vector_block(a, b, trip=64, repeats=8)])],
+        inst, r8)
     assert r8.phases[2].cycles_total == pytest.approx(8 * r1.phases[2].cycles_total)
     assert r8.phases[2].i_v == 8 * r1.phases[2].i_v
 
@@ -152,8 +157,8 @@ def test_machine_without_vpu_rejects_vector_blocks(instance):
     scalar_only = replace(RISCV_VEC, vpu=None)
     m = Machine(scalar_only, cache_enabled=False)
     with pytest.raises(RuntimeError, match="no VPU"):
-        m.execute_kernel(CompiledKernel("k", 2, [_vector_block(a, b)]), inst,
-                         RunCounters())
+        m.execute_program([CompiledKernel("k", 2, [_vector_block(a, b)])],
+                          inst, RunCounters())
 
 
 def test_access_weight_subsets_addresses(instance):
@@ -166,7 +171,7 @@ def test_access_weight_subsets_addresses(instance):
     )
     m = Machine(RISCV_VEC, cache_enabled=True)
     run = RunCounters()
-    m.execute_kernel(CompiledKernel("k", 1, [half]), inst, run)
+    m.execute_program([CompiledKernel("k", 1, [half])], inst, run)
     # only the first 32 elements (4 lines) are touched.
     assert run.phases[1].l1_misses == 4
 
@@ -188,7 +193,8 @@ def test_out_of_range_gather_raises(cache):
     )
     m = Machine(RISCV_VEC, cache_enabled=cache)
     with pytest.raises(IndexError):
-        m.execute_kernel(CompiledKernel("k", 1, [gather]), inst, RunCounters())
+        m.execute_program([CompiledKernel("k", 1, [gather])], inst,
+                          RunCounters())
 
 
 def test_clock_advances_with_blocks(instance):
@@ -196,5 +202,6 @@ def test_clock_advances_with_blocks(instance):
     m = Machine(RISCV_VEC, cache_enabled=False)
     run = RunCounters()
     assert m.clock == 0.0
-    m.execute_kernel(CompiledKernel("k", 1, [_scalar_block(a, b)]), inst, run)
+    m.execute_program([CompiledKernel("k", 1, [_scalar_block(a, b)])], inst,
+                      run)
     assert m.clock == pytest.approx(run.phases[1].cycles_total)

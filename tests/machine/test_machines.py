@@ -36,12 +36,15 @@ def test_table2_mn4_values():
 
 
 def test_peak_gflops():
+    def gflops(m):
+        return m.peak_flops_per_cycle * m.frequency_mhz / 1e3
+
     # NEC: 307.2 GFLOPS per VE core (paper section 2.4)
-    assert SX_AURORA.peak_gflops == pytest.approx(307.2)
+    assert gflops(SX_AURORA) == pytest.approx(307.2)
     # MN4: 67.2 GFLOPS per core
-    assert MN4_AVX512.peak_gflops == pytest.approx(67.2)
+    assert gflops(MN4_AVX512) == pytest.approx(67.2)
     # RISC-V VEC at 50 MHz FPGA: 16 FLOP/cycle * 50 MHz = 0.8 GFLOPS
-    assert RISCV_VEC.peak_gflops == pytest.approx(0.8)
+    assert gflops(RISCV_VEC) == pytest.approx(0.8)
 
 
 def test_cycles_to_seconds():
@@ -57,7 +60,7 @@ def test_get_machine_lookup():
 
 def test_all_machines_have_vpus_and_caches():
     for m in MACHINES.values():
-        assert m.has_vpu
+        assert m.vpu is not None
         assert m.memory.l1.size_bytes > 0
         assert m.vpu.vl_max in (8, 256)
 

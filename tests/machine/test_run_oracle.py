@@ -43,7 +43,8 @@ from repro.machine.machines import MN4_AVX512, RISCV_VEC, SX_AURORA
 from repro.machine.params import CacheParams
 from repro.metrics.counters import PhaseCounters, RunCounters, counters_to_json
 
-from . import charge_tuples, recurring_paths
+from ..obs import phase_span_names
+from . import address_lines, charge_tuples, recurring_paths
 
 MACHINES = [RISCV_VEC, MN4_AVX512, SX_AURORA]
 #: the five rungs, plus vec1's passes strip-mined by 4.
@@ -174,8 +175,8 @@ class WalkMachine(Machine):
 
     def execute_kernel(self, compiled, instance, run) -> None:
         counters = run.phase(compiled.phase)
-        streams = charge_tuples(self.mem.access(
-            self._streams(compiled, instance)))
+        streams = charge_tuples(self.mem.access(address_lines(
+            self.mem, self._streams(compiled, instance))))
         kernel_t0 = self.clock
         for block in compiled.blocks:
             t0 = self.clock
@@ -367,7 +368,7 @@ def test_trace_matches_walk(params, opt, vector_size):
     solver_chunks = len(app.build_solver()[0].context.chunks())
     iterations = max(app.reference_solve().iterations, 1)
     per_iteration = sum(repeats for _, repeats in TIMED_ITERATION_MIX)
-    phases = obs.chrome.phase_span_names(obs.chrome.loads(exports[0]))
+    phases = phase_span_names(obs.chrome.loads(exports[0]))
     assert len(phases) == (len(app.chunks) * len(app.compiled)
                            + solver_chunks * iterations * per_iteration)
 

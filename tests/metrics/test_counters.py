@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.counters import PhaseCounters, RunCounters, merge_runs
+from repro.metrics.counters import PhaseCounters, RunCounters
 
 
 def sample_phase(phase=1, scale=1.0) -> PhaseCounters:
@@ -82,16 +82,6 @@ def test_aggregate_equals_sum():
     assert agg.vl_hist[64] == 93
     # aggregation must not mutate the source phases
     assert run.phases[1].vl_hist[64] == 31
-
-
-def test_merge_runs():
-    r1, r2 = RunCounters(), RunCounters()
-    r1.phases[1] = sample_phase(1)
-    r2.phases[1] = sample_phase(1)
-    r2.phases[2] = sample_phase(2)
-    merged = merge_runs([r1, r2])
-    assert merged.phases[1].cycles_total == 200.0
-    assert merged.phases[2].cycles_total == 100.0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=8))

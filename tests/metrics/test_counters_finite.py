@@ -8,7 +8,6 @@ import pytest
 from repro.metrics.counters import (
     COUNTER_FIELDS,
     counters_from_dict,
-    counters_from_json,
     counters_to_dict,
 )
 
@@ -47,7 +46,7 @@ def test_json_infinity_literal_rejected():
     text = json.dumps(_payload()).replace('"flops": 8.0', '"flops": Infinity')
     assert "Infinity" in text
     with pytest.raises(ValueError, match="non-finite"):
-        counters_from_json(text)
+        counters_from_dict(json.loads(text))
 
 
 def test_non_numeric_counter_rejected():

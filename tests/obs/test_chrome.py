@@ -8,6 +8,8 @@ from repro import obs
 from repro.obs import chrome
 from repro.obs.tracer import Tracer
 
+from . import phase_span_names
+
 
 @pytest.fixture(scope="module")
 def traced():
@@ -24,7 +26,7 @@ def traced():
 
 def test_export_covers_all_eight_phases(traced):
     events = chrome.to_events(traced)
-    names = set(chrome.phase_span_names(events))
+    names = set(phase_span_names(events))
     assert len(names) == 8
     assert {e["args"]["phase"] for e in events
             if e.get("ph") == "X" and e.get("tid") == 1
@@ -79,5 +81,5 @@ def test_raw_worker_events_pass_through():
     t = Tracer()
     raw = {"ph": "X", "name": "run x", "pid": 100, "tid": 1,
            "ts": 0, "dur": 5, "args": {}}
-    t.ingest([raw])
+    t.raw_events.append(raw)
     assert raw in chrome.to_events(t)

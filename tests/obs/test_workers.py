@@ -16,6 +16,8 @@ from repro.obs.workers import (
 from repro.experiments.config import RunConfig
 from repro.experiments.executor import ExecutionPlan, execute_plan, simulate_to_dict
 
+from . import phase_span_names
+
 TINY = (4, 4, 4)
 
 
@@ -38,7 +40,7 @@ def test_traced_worker_writes_trace_file(tmp_path, monkeypatch):
     events = chrome.load(path)
     # the worker wraps the run in a wall span and captures SIM phase spans.
     assert any(e.get("name", "").startswith("run ") for e in events)
-    assert chrome.phase_span_names(events)
+    assert phase_span_names(events)
 
 
 def test_merge_remaps_worker_pids(tmp_path):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .obs import phase_span_names
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -97,7 +99,7 @@ def test_trace_preset_and_chrome_export(tmp_path, capsys):
     from repro.trace import paraver
 
     events = chrome.load(chrome_json)
-    assert len(set(chrome.phase_span_names(events))) == 8
+    assert len(set(phase_span_names(events))) == 8
     assert paraver.load(prv).blocks
 
 
